@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +63,6 @@ class RunConfig:
     world: str = "complement"
     order: str = "random"
     minimize: bool = False
-    threads: int = 1
 
 
 def _parse_range(parser: _Parser, text: str) -> tuple[int, int]:
@@ -79,19 +77,6 @@ def _parse_range(parser: _Parser, text: str) -> tuple[int, int]:
     if lo > hi:
         parser.error(f"empty range {text!r}")
     return lo, hi
-
-
-def _threads_from_env(parser: _Parser) -> int:
-    raw = os.environ.get("KWISE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        t = int(raw)
-    except ValueError:
-        parser.error(f"KWISE_THREADS must be an integer, got {raw!r}")
-    if t < 0:
-        parser.error(f"KWISE_THREADS must be >= 0, got {t}")
-    return t if t > 0 else (os.cpu_count() or 1)
 
 
 def parse_args(argv: Sequence[str]) -> RunConfig:
@@ -141,8 +126,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     ns = parser.parse_args(argv)
-    threads = _threads_from_env(parser)
-    cfg = RunConfig(command=ns.command, threads=threads)
+    cfg = RunConfig(command=ns.command)
 
     if ns.command == "construct":
         if ns.k < 3:
@@ -250,10 +234,7 @@ def _cmd_construct(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     fam = _read_input_family(cfg.input_path)
     backends = ("dp", "tuples") if cfg.backend == "both" else (cfg.backend,)
-    verdicts = [
-        is_maximal_kwise(fam, cfg.k, cfg.world, backend=b, threads=cfg.threads)
-        for b in backends
-    ]
+    verdicts = [is_maximal_kwise(fam, cfg.k, cfg.world, backend=b) for b in backends]
     if len(verdicts) == 2 and verdicts[0] != verdicts[1]:
         print("backend disagreement: dp and tuples returned different verdicts", file=sys.stderr)
         return EXIT_ERROR
@@ -305,7 +286,7 @@ def _cmd_greedy(cfg: RunConfig) -> int:
     for r in range(cfg.runs):
         seed = cfg.seed + r
         fam = greedy_saturate(g0, cfg.k, seed, order=cfg.order)
-        verdict = is_maximal_kwise(fam, cfg.k, "complement", threads=cfg.threads)
+        verdict = is_maximal_kwise(fam, cfg.k, "complement")
         rows.append({
             "k": cfg.k,
             "n": cfg.n,

@@ -2,9 +2,10 @@
 
 A set over the ground set {1, .., n} is an n-bit mask with element i stored
 in bit i - 1. Families are immutable, deduplicated, sorted mask collections.
-The cover table records, for every mask of the lattice at once, how many
-family members are needed to union up to exactly that mask; a superset-min
-closure of it answers "do some <= j members cover this target".
+One in-place kernel folds an array over the subset lattice, bit by bit:
+with addition it is the subset-sum (zeta) transform, with subtraction its
+Moebius inverse, with OR or min over supersets the down-closure and the
+superset-min closure. The cover table and the cover counts are built on it.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ TABLE_MAX_N = 24
 COVER_MAX_J = 8
 
 _NONE = 255
-# Tuple counts in the transform domain can exceed 64 bits, so the DP runs
-# modulo two 31-bit primes; a count is treated as zero only when both
-# residues vanish.
+# Tuple counts in the transform domain can exceed 64 bits, so they are
+# taken modulo 31-bit primes. A nonzero residue proves a nonzero count; a
+# zero residue may be a collision.
 _PRIMES = (2_147_483_647, 2_147_483_629)
 
 
@@ -189,6 +190,62 @@ def make_star(u: Universe) -> Family:
     return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
 
 
+def fold_subsets(a: np.ndarray, op) -> np.ndarray:
+    """In place over all 2^n masks, for each bit, a[m] = op(a[m], a[m - bit])
+    where m has that bit. np.add gives subset sums (the zeta transform),
+    np.subtract undoes them (Moebius inversion). Returns a."""
+    for i in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << i)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return a
+
+
+def fold_supersets(a: np.ndarray, op) -> np.ndarray:
+    """In place, for each bit, a[m] = op(a[m], a[m + bit]) where m lacks the
+    bit: np.logical_or turns an indicator into its down-closure, np.minimum
+    gives the superset-min. Returns a."""
+    for i in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << i)
+        op(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+    return a
+
+
+def moebius_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Moebius inversion of values in [0, 2^31), reduced mod p once at the
+    end. The n plain subtractions move a value by at most 2^n * 2^31 <= 2^55
+    for n <= 24, so the int64 intermediates cannot overflow."""
+    fold_subsets(a, np.subtract)
+    a %= p
+    return a
+
+
+def cover_residues(f: Family, j: int, p: int) -> np.ndarray:
+    """For every mask T, the number of j-tuples of members of f's
+    down-closure whose union is exactly T, modulo p.
+
+    The closure contains the empty set, so the count is nonzero exactly
+    when at most j members of f union to a superset of T. A nonzero residue
+    therefore proves such a cover; a zero residue may be a multiple of p.
+    At most two 2^n int64 arrays are alive at once.
+    """
+    u = f.universe
+    u.require_table()
+    if not f.members:
+        raise ValueError("cover counts require a nonempty family")
+    down = np.zeros(u.num_masks, dtype=bool)
+    down[np.fromiter(f.members, dtype=np.int64, count=len(f.members))] = True
+    zeta = fold_subsets(fold_supersets(down, np.logical_or).astype(np.int64), np.add)
+    del down
+    # zeta <= 2^24 and residues < 2^31, so each product fits in int64; a
+    # square is taken in place, without a second array
+    power = zeta if j <= 2 else zeta.copy()
+    for _ in range(j - 1):
+        power *= zeta
+        power %= p
+    del zeta
+    return moebius_mod(power, p)
+
+
 class CoverTable:
     """Minimum union-cover sizes for every mask of the lattice.
 
@@ -219,11 +276,7 @@ class CoverTable:
     def sup(self) -> np.ndarray:
         """Superset-min closure: sup[m] = min(min_cover[m'] for m' >= m)."""
         if self._sup is None:
-            s = self.min_cover.copy()
-            for i in range(self.universe.n):
-                v = s.reshape(-1, 2, 1 << i)
-                v[:, 0, :] = np.minimum(v[:, 0, :], v[:, 1, :])
-            self._sup = s
+            self._sup = fold_supersets(self.min_cover.copy(), np.minimum)
         return self._sup
 
     def covering(self, m: SetMask) -> int | None:
@@ -254,11 +307,7 @@ def cover_table_from_indicator(ind: np.ndarray, u: Universe, j_max: int) -> Cove
         raise ValueError("indicator length must be 2^n")
     if not 1 <= j_max <= COVER_MAX_J:
         raise ValueError(f"j_max must be in 1..{COVER_MAX_J}, got {j_max}")
-    n = u.n
-    zeta = ind.astype(np.int64, copy=True)
-    for i in range(n):
-        v = zeta.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
+    zeta = fold_subsets(ind.astype(np.int64, copy=True), np.add)
     # Unions of a single member are the members themselves.
     minc = np.full(u.num_masks, _NONE, dtype=np.uint8)
     minc[np.asarray(ind, dtype=bool)] = 1
@@ -270,11 +319,9 @@ def cover_table_from_indicator(ind: np.ndarray, u: Universe, j_max: int) -> Cove
             for j in range(2, j_max + 1):
                 if not bool((mp == _NONE).any()):
                     break
-                pw = (pw * zeta) % p
-                mob = pw.copy()
-                for i in range(n):
-                    v = mob.reshape(-1, 2, 1 << i)
-                    v[:, 1, :] = (v[:, 1, :] - v[:, 0, :]) % p
+                pw *= zeta
+                pw %= p
+                mob = moebius_mod(pw.copy(), p)
                 mp[(mob != 0) & (mp == _NONE)] = j
             per_prime.append(mp)
         minc = np.minimum(per_prime[0], per_prime[1])

@@ -5,30 +5,37 @@ exactly when no k members of its complement family union to the full ground
 set, and maximal exactly when additionally every non-member mask X admits
 at most k - 1 members whose union with X is everything.
 
-Two interchangeable cover backends answer the union queries: the lattice
-cover table ("dp") and depth-limited search over maximal elements
-("tuples"). Failed checks carry witnesses that re-verify by plain mask
-arithmetic, independently of the search that produced them.
+Every verdict is exact. The k-wise property is decided by one branch-and-
+bound query over maximal elements. Saturation takes its candidate gaps
+from cover counts modulo a prime ("dp", the default) or from every
+non-member ("tuples"); the same search confirms each candidate in
+ascending order, so both backends report the first failing mask. Failed
+checks carry witnesses that re-verify by plain mask arithmetic,
+independently of the search that produced them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .setcore import (
-    COVER_MAX_J,
+    _PRIMES,
     CoverSearcher,
-    CoverTable,
     Family,
     SetMask,
-    build_cover_table,
+    build_cover_table,  # noqa: F401  bench/tracer.py patches this binding
     complement_family,
+    cover_residues,
     is_downset,
     maximal_elements,
 )
+
+_BACKENDS = ("auto", "dp", "tuples")
+# One prime suffices: a residue only nominates candidates, and the search
+# decides each one.
+_PRIME = _PRIMES[0]
 
 
 @dataclass(frozen=True)
@@ -65,131 +72,75 @@ def _require_k(k: int) -> None:
         raise ValueError(f"arity k must be >= 2, got {k}")
 
 
-def _auto_backend(n: int, member_count: int, j: int, queries: int) -> str:
-    """Transform work against a pessimistic per-query search estimate; the
-    constant charges the fixed cost of setting up the table."""
-    if n > 24 or j > COVER_MAX_J or member_count == 0:
-        return "tuples"
-    dp_work = (1 << n) * (n + j) * 2 + 20_000
-    tuple_work = queries * max(1, member_count) * (j + 1)
-    return "dp" if dp_work < tuple_work else "tuples"
+def _require_backend(backend: str) -> None:
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
 
 
-def check_kwise(
-    g: Family,
-    k: int,
-    *,
-    backend: str = "auto",
-    table: CoverTable | None = None,
-) -> Verdict:
-    """No multiset of <= k members of g may union to the full ground set."""
+def _searcher(g: Family) -> CoverSearcher:
+    return CoverSearcher(maximal_elements(g).members, g.universe.n)
+
+
+def check_kwise(g: Family, k: int, *, backend: str = "auto") -> Verdict:
+    """No multiset of <= k members of g may union to the full ground set.
+
+    Every backend decides this with one search over maximal elements.
+    """
     _require_k(k)
-    u = g.universe
+    _require_backend(backend)
     if not g.members:
         return Verdict(True)
-    mode = backend
-    if mode == "auto":
-        mode = "dp" if table is not None else _auto_backend(u.n, len(g), k, 1)
-    if mode == "dp":
-        u.require_table()
-        if table is None:
-            if k > COVER_MAX_J:
-                raise ValueError(f"dp backend requires k <= {COVER_MAX_J}")
-            table = build_cover_table(g, k)
-        need = table.exact(u.full)
-        if need is None:
-            if table.limit < k:
-                raise ValueError(f"cover table limit {table.limit} cannot refute arity {k}")
-            return Verdict(True)
-        if need > k:
-            return Verdict(True)
-    elif mode != "tuples":
-        raise ValueError(f"unknown backend {backend!r}")
-    found = CoverSearcher(maximal_elements(g).members, u.n).find(u.full, k)
+    found = _searcher(g).find(g.universe.full, k)
     if found is None:
         return Verdict(True)
     return Verdict(False, CoverWitness(found), reason="not_kwise")
 
 
-def check_saturated(
-    g: Family,
-    k: int,
-    *,
-    backend: str = "auto",
-    table: CoverTable | None = None,
-    threads: int = 1,
-) -> Verdict:
+def _vanishing_nonmembers(g: Family, j: int) -> np.ndarray:
+    """Ascending non-members x whose completion target full ^ x has a zero
+    cover-count residue: every true gap, plus any count that is a nonzero
+    multiple of the prime."""
+    residues = cover_residues(g, j, _PRIME)
+    # the completion target of mask x is full ^ x, the reversed index
+    vanish = residues[::-1] == 0
+    del residues
+    vanish[np.fromiter(g.members, dtype=np.int64, count=len(g))] = False
+    return np.flatnonzero(vanish)
+
+
+def check_saturated(g: Family, k: int, *, backend: str = "auto") -> Verdict:
     """Every non-member mask must admit <= k-1 members completing it to the
     full set.
 
-    Non-members are scanned in ascending mask order and the verdict carries
-    the first failure: a mask that could be added without breaking the
-    k-wise property.
+    Candidate gaps are confirmed by search in ascending mask order and the
+    verdict carries the first failure: a mask that could be added without
+    breaking the k-wise property.
     """
     _require_k(k)
+    _require_backend(backend)
     u = g.universe
     u.require_table()
     j = k - 1
     if not g.members:
         # only the full set completes itself (with zero members)
         return Verdict(False, GapWitness(0), reason="not_saturated")
-    mode = backend
-    if mode == "auto":
-        mode = "dp" if table is not None else _auto_backend(
-            u.n, len(g), j, u.num_masks - len(g)
-        )
-    if mode == "dp":
-        if table is None:
-            if j > COVER_MAX_J:
-                raise ValueError(f"dp backend requires k - 1 <= {COVER_MAX_J}")
-            table = build_cover_table(g, j)
-        if table.limit < j:
-            raise ValueError(f"cover table limit {table.limit} below completion budget {j}")
-        member_idx = np.zeros(u.num_masks, dtype=bool)
-        member_idx[np.fromiter(g.members, dtype=np.int64, count=len(g))] = True
-        # the completion target of mask x is full ^ x, the reversed index
-        covered = (table.sup <= j)[::-1]
-        bad = ~member_idx & ~covered
-        pos = np.nonzero(bad)[0]
-        if pos.size == 0:
-            return Verdict(True)
-        return Verdict(False, GapWitness(int(pos[0])), reason="not_saturated")
-    if mode != "tuples":
-        raise ValueError(f"unknown backend {backend!r}")
-
-    searcher = CoverSearcher(maximal_elements(g).members, u.n)
-    full = u.full
-    idx = g.index
-
-    def scan(lo: int, hi: int) -> int | None:
-        for x in range(lo, hi):
-            if x in idx:
-                continue
-            if searcher.find(full ^ x, j) is None:
-                return x
-        return None
-
-    size = u.num_masks
-    if threads <= 1:
-        hit = scan(0, size)
+    if backend == "tuples":
+        members = g.index
+        candidates = (x for x in range(u.num_masks) if x not in members)
     else:
-        step = max(1024, -(-size // (threads * 4)))
-        spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = [r for r in pool.map(lambda s: scan(*s), spans) if r is not None]
-        hit = min(found) if found else None
-    if hit is None:
-        return Verdict(True)
-    return Verdict(False, GapWitness(hit), reason="not_saturated")
+        vanishing = _vanishing_nonmembers(g, j)
+        if vanishing.size == 0:
+            return Verdict(True)
+        candidates = map(int, vanishing)
+    searcher = _searcher(g)
+    for x in candidates:
+        if searcher.find(u.full ^ x, j) is None:
+            return Verdict(False, GapWitness(x), reason="not_saturated")
+    return Verdict(True)
 
 
 def is_maximal_kwise(
-    f: Family,
-    k: int,
-    world: str = "direct",
-    *,
-    backend: str = "auto",
-    threads: int = 1,
+    f: Family, k: int, world: str = "direct", *, backend: str = "auto"
 ) -> Verdict:
     """k-wise intersecting and saturated.
 
@@ -203,16 +154,10 @@ def is_maximal_kwise(
     g = complement_family(f) if world == "direct" else f
     g.universe.require_table()
     downset = is_downset(g)
-    mode = backend
-    if mode == "auto":
-        mode = _auto_backend(g.universe.n, len(g), k, g.universe.num_masks)
-    table = None
-    if mode == "dp" and g.members and k <= COVER_MAX_J:
-        table = build_cover_table(g, k)
-    kw = check_kwise(g, k, backend=mode, table=table)
+    kw = check_kwise(g, k, backend=backend)
     if not kw.ok:
         return Verdict(False, kw.witness, "not_kwise", downset)
-    sat = check_saturated(g, k, backend=mode, table=table, threads=threads)
+    sat = check_saturated(g, k, backend=backend)
     return Verdict(sat.ok, sat.witness, sat.reason, downset)
 
 
@@ -248,6 +193,5 @@ def verify_witness(v: Verdict, g: Family, k: int) -> bool:
                     return False
                 union |= m
             return union == full
-        searcher = CoverSearcher(maximal_elements(g).members, u.n)
-        return searcher.find(full & ~w.mask, k - 1) is None
+        return _searcher(g).find(full & ~w.mask, k - 1) is None
     raise TypeError(f"unsupported witness type {type(w).__name__}")

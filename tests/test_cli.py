@@ -7,10 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from kwise import ConstructionParams, build_family, read_family
+from kwise import (
+    ConstructionParams,
+    Family,
+    build_family,
+    maximal_elements,
+    read_family,
+    write_family,
+)
 from kwise.cli import main, parse_args
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -60,16 +68,6 @@ def test_parse_table_ranges():
 )
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("KWISE_THREADS", "banana")
-    assert main(["oracle", "--k", "2", "--n", "2"]) == 1
-    monkeypatch.setenv("KWISE_THREADS", "-1")
-    assert main(["oracle", "--k", "2", "--n", "2"]) == 1
-    monkeypatch.setenv("KWISE_THREADS", "2")
-    code, out, _ = run_cli(capsys, "oracle", "--k", "2", "--n", "2")
-    assert code == 0
 
 
 # --- construct ---------------------------------------------------------------
@@ -157,17 +155,29 @@ def test_verify_backend_both_agrees(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["maximal"] is True
 
 
-def test_verify_threaded_scan_same_output(capsys, monkeypatch):
-    _, family_text, _ = run_cli(capsys, "construct", "--k", "3", "--n", "9")
-    code, plain, _ = _verify_stdin(
-        capsys, monkeypatch, family_text, "--k", "3", "--backend", "tuples"
+def _golden_family(k, n, variant):
+    g = build_family(ConstructionParams(k, n)).f
+    if variant == "removed":
+        removed = maximal_elements(g).members[-1]
+        return Family(g.universe, (m for m in g.members if m != removed))
+    if variant == "added":
+        added = next(m for m in range(g.universe.num_masks) if m not in g)
+        return Family(g.universe, (*g.members, added))
+    return g
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=lambda c: f"k{c['k']}n{c['n']}-{c['variant']}-{c['backend']}"
+)
+def test_verify_golden_output(case, capsys, monkeypatch):
+    # stdout recorded from the two-prime cover-table verifier; the exact
+    # path must reproduce it byte for byte, witnesses included
+    text = write_family(_golden_family(case["k"], case["n"], case["variant"]))
+    code, out, _ = _verify_stdin(
+        capsys, monkeypatch, text, "--k", str(case["k"]), "--backend", case["backend"]
     )
-    monkeypatch.setenv("KWISE_THREADS", "3")
-    code2, threaded, _ = _verify_stdin(
-        capsys, monkeypatch, family_text, "--k", "3", "--backend", "tuples"
-    )
-    assert code == code2 == 0
-    assert plain == threaded
+    assert code == {"construction": 0, "removed": 3, "added": 2}[case["variant"]]
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_verify_missing_file_exit_1(capsys):

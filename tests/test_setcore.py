@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kwise import (
     maximal_elements,
     submasks,
 )
+from kwise.setcore import cover_residues, fold_subsets, fold_supersets, moebius_mod
 from oracles import naive_min_cover
 
 
@@ -180,6 +182,60 @@ def test_maximal_elements_vs_quadratic_oracle():
     ]
     assert tops.members == tuple(sorted(expected))
     assert downset_closure(tops) == downset_closure(f)
+
+
+# --- lattice kernel ----------------------------------------------------------
+
+
+def test_fold_subsets_is_subset_sum_and_subtract_inverts():
+    n = 6
+    a = np.random.default_rng(1).integers(-50, 50, 1 << n)
+    zeta = fold_subsets(a.copy(), np.add)
+    for m in range(1 << n):
+        assert zeta[m] == sum(int(a[s]) for s in submasks(m))
+    assert np.array_equal(fold_subsets(zeta, np.subtract), a)
+
+
+def test_moebius_mod_matches_reduction_after_every_pass():
+    # residues near 2^31 at n = 16 push the lazy intermediates to ~2^47
+    p, n = 2_147_483_647, 16
+    a = np.random.default_rng(2).integers(p - 1000, p, 1 << n)
+    ref = a.copy()
+    for i in range(n):
+        v = ref.reshape(-1, 2, 1 << i)
+        v[:, 1, :] = (v[:, 1, :] - v[:, 0, :]) % p
+    assert np.array_equal(moebius_mod(a, p), ref)
+
+
+def test_fold_supersets_closure_and_min():
+    rng = random.Random(4)
+    f = random_family(rng, 7)
+    ind = np.zeros(1 << 7, dtype=bool)
+    ind[list(f.members)] = True
+    closed = fold_supersets(ind, np.logical_or)
+    assert set(np.flatnonzero(closed).tolist()) == set(downset_closure(f).members)
+    vals = np.random.default_rng(4).integers(0, 100, 1 << 7)
+    sup = fold_supersets(vals.copy(), np.minimum)
+    for m in range(1 << 7):
+        assert sup[m] == min(int(vals[s]) for s in range(1 << 7) if s & m == m)
+
+
+@pytest.mark.parametrize("p", [3, 2_147_483_647])
+def test_cover_residues_count_exact_union_tuples(p):
+    rng = random.Random(6)
+    for _ in range(6):
+        f = random_family(rng, 4, 5)
+        if not f.members:
+            continue
+        down = downset_closure(f).members
+        for j in (1, 2, 3):
+            counts = np.zeros(16, dtype=np.int64)
+            for combo in product(down, repeat=j):
+                union = 0
+                for m in combo:
+                    union |= m
+                counts[union] += 1
+            assert np.array_equal(cover_residues(f, j, p), counts % p)
 
 
 # --- cover table -----------------------------------------------------------

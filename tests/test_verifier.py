@@ -20,7 +20,9 @@ from kwise import (
     maximal_elements,
     verify_witness,
 )
-from oracles import brute_first_unsaturated, brute_kwise_ok
+from kwise import verifier
+from kwise.setcore import cover_residues
+from oracles import brute_first_unsaturated, brute_kwise_ok, completable
 
 
 def random_family(rng, n, max_members=12):
@@ -174,20 +176,6 @@ def test_construction_passes_both_checks_up_to_n20():
             assert v.ok, (k, n)
 
 
-def test_threaded_saturation_scan_matches_sequential():
-    built = build_family(ConstructionParams(4, 10))
-    g = built.f
-    assert check_saturated(g, 4, backend="tuples", threads=4).ok
-    # remove a maximal member so the scan has a failure to locate
-    top = maximal_elements(g).members[-1]
-    broken = Family(g.universe, set(g.members) - {top})
-    seq = check_saturated(broken, 4, backend="tuples", threads=1)
-    par = check_saturated(broken, 4, backend="tuples", threads=4)
-    assert seq == par
-    if not seq.ok:
-        assert verify_witness(seq, broken, 4)
-
-
 @given(families(max_n=7))
 def test_duality_of_worlds(f):
     direct = is_maximal_kwise(f, 3, "direct")
@@ -236,6 +224,49 @@ def test_every_failure_witness_verifies():
                 checked += 1
                 assert verify_witness(v, g, k), (g.members, k, v)
     assert checked > 20
+
+
+def _exactness_cases():
+    """Seeded random families and one-step mutants of the construction,
+    n <= 8, k in 2..5."""
+    rng = random.Random(5)
+    for _ in range(40):
+        yield random_family(rng, rng.randint(2, 8), 10), rng.randint(2, 5)
+    for k, n in ((3, 4), (3, 6), (3, 8), (4, 6), (4, 7), (5, 8)):
+        g = build_family(ConstructionParams(k, n)).f
+        yield g, k
+        for removed in maximal_elements(g).members:
+            yield Family(g.universe, set(g.members) - {removed}), k
+        added = rng.choice([m for m in range(g.universe.num_masks) if m not in g])
+        yield Family(g.universe, (*g.members, added)), k
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_verdicts_exact_under_tiny_prime(prime, monkeypatch):
+    # a tiny prime makes nonzero cover counts vanish often; the search must
+    # reject every such candidate so verdicts and witnesses stay exact
+    monkeypatch.setattr(verifier, "_PRIME", prime)
+    false_vanishes = 0
+    for g, k in _exactness_cases():
+        n, full = g.universe.n, g.universe.full
+        v = is_maximal_kwise(g, k, "complement", backend="dp")
+        if not brute_kwise_ok(g.members, n, k):
+            assert v.reason == "not_kwise" and verify_witness(v, g, k)
+            continue
+        first = brute_first_unsaturated(g.members, n, k)
+        assert v.ok == (first is None), (g.members, k)
+        assert v.witness == (None if first is None else GapWitness(first))
+        # count the false vanishes the verdict depends on: those scanned
+        # before the first gap, or anywhere in a saturated family
+        stop = g.universe.num_masks if first is None else first
+        if g.members:
+            residues = cover_residues(g, k - 1, prime)
+            false_vanishes += sum(
+                1
+                for x in range(stop)
+                if x not in g and residues[full ^ x] == 0 and completable(g.members, x, n, k)
+            )
+    assert false_vanishes > 0
 
 
 # --- verify_witness ----------------------------------------------------------
