@@ -17,22 +17,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .construction import BlockPartition, ConstructionParams, build_family, expected_size
-from .setcore import (
-    COVER_MAX_J,
-    CoverSearcher,
-    Family,
-    SetMask,
-    Universe,
-    complement_family,
-    cover_table_from_indicator,
-    maximal_elements,
-)
+from .setcore import Family, SetMask, Universe, complement_family, downset_closure
 from .verifier import check_kwise, is_maximal_kwise
 
 DOWNSET_MAX_N = 5
 GREEDY_MAX_N = 20
 MINIMIZE_MAX_N = 8
-_GREEDY_TABLE_N = 14
 
 
 @dataclass(frozen=True)
@@ -67,23 +57,8 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
         raise ValueError(f"down-set enumeration needs n <= {DOWNSET_MAX_N}, got n={u.n}")
     size = u.num_masks
 
-    def closure(tops: list[SetMask]) -> set[SetMask]:
-        out = set(tops)
-        stack = list(tops)
-        while stack:
-            m = stack.pop()
-            rest = m
-            while rest:
-                bit = rest & -rest
-                child = m ^ bit
-                if child not in out:
-                    out.add(child)
-                    stack.append(child)
-                rest ^= bit
-        return out
-
     def extend(tops: list[SetMask], start: int) -> Iterator[Family]:
-        yield Family(u, closure(tops))
+        yield downset_closure(Family(u, tops))
         for m in range(start, size):
             incomparable = True
             for t in tops:
@@ -124,8 +99,9 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
 
     Candidate masks are scanned in a seed-determined order ("random" is a
     seeded shuffle of all masks, "popcount" visits larger sets first with
-    ties by mask value); any mask whose addition keeps the no-k-cover
-    property is added, until a full pass adds nothing.
+    ties by mask value); each mask whose addition keeps the no-k-cover
+    property is added. Coverage levels grow with every insertion, so one
+    pass decides every candidate exactly.
     """
     u = g0.universe
     if u.n > GREEDY_MAX_N:
@@ -144,55 +120,32 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         raise ValueError(f"unknown candidate order {order!r}")
 
     members: set[SetMask] = set(g0.members)
-    if u.n <= _GREEDY_TABLE_N and k - 1 <= COVER_MAX_J:
-        # exact coverability table, rebuilt after every insertion
-        ind = np.zeros(size, dtype=np.int64)
-        if members:
-            ind[np.fromiter(members, dtype=np.int64, count=len(members))] = 1
-        sup = cover_table_from_indicator(ind, u, k - 1).sup
-        while True:
-            added = False
-            for x in cand:
-                if x in members:
-                    continue
-                if sup[full ^ x] <= k - 1:
-                    continue
-                members.add(x)
-                ind[x] = 1
-                sup = cover_table_from_indicator(ind, u, k - 1).sup
-                added = True
-            if not added:
-                break
-    else:
-        # per-pass snapshot filter (coverability only grows, so a covered
-        # verdict from the snapshot stays valid) with an exact search
-        # against the current antichain for the rest
-        tops = list(maximal_elements(Family(u, members)).members)
-        searcher = CoverSearcher(tops, u.n)
-        while True:
-            added = False
-            snapshot = None
-            if members:
-                ind = np.zeros(size, dtype=np.int64)
-                ind[np.fromiter(members, dtype=np.int64, count=len(members))] = 1
-                snapshot = cover_table_from_indicator(ind, u, min(k - 1, COVER_MAX_J)).sup
-            for x in cand:
-                if x in members:
-                    continue
-                target = full ^ x
-                if target == 0:
-                    continue  # adding the full set always makes a 1-cover
-                if snapshot is not None and snapshot[target] <= k - 1:
-                    continue
-                if searcher.find(target, k - 1) is not None:
-                    continue
-                members.add(x)
-                if not any(x | t == t for t in tops):
-                    tops = [t for t in tops if t | x != x] + [x]
-                    searcher = CoverSearcher(tops, u.n)
-                added = True
-            if not added:
-                break
+    # cov[t][T]: T lies inside the union of at most t members. A cover of T
+    # never needs more than |T| <= n members, so levels above n repeat level n.
+    j = min(k - 1, u.n)
+    cov = np.zeros((j + 1, size), dtype=bool)
+    cov[:, 0] = True
+    cube = cov.reshape((j + 1,) + (2,) * u.n)  # axis n-1-i holds bit i
+
+    def insert(x: SetMask) -> None:
+        if cov[1, x]:
+            return  # x lies under a member and covers nothing new
+        # index 0 along x's axes reads every level at T & ~x
+        under = tuple(
+            slice(0, 1) if x >> (u.n - 1 - a) & 1 else slice(None) for a in range(u.n)
+        )
+        for t in range(j, 0, -1):
+            # level t-1 is still the old one: a cover never needs x twice
+            np.logical_or(cube[t], cube[(t - 1, *under)], out=cube[t])
+
+    for x in members:
+        insert(x)
+    # coverage only grows, so a rejected candidate stays rejected: one pass
+    top = cov[j]
+    for x in cand:
+        if x not in members and not top[full ^ x]:
+            members.add(x)
+            insert(x)
     return Family(u, members)
 
 

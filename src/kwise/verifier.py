@@ -88,9 +88,13 @@ def check_kwise(g: Family, k: int, *, backend: str = "auto") -> Verdict:
     """
     _require_k(k)
     _require_backend(backend)
+    return _kwise(g, k, _searcher(g))
+
+
+def _kwise(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
     if not g.members:
         return Verdict(True)
-    found = _searcher(g).find(g.universe.full, k)
+    found = searcher.find(g.universe.full, k)
     if found is None:
         return Verdict(True)
     return Verdict(False, CoverWitness(found), reason="not_kwise")
@@ -118,6 +122,12 @@ def check_saturated(g: Family, k: int, *, backend: str = "auto") -> Verdict:
     """
     _require_k(k)
     _require_backend(backend)
+    return _saturated(g, k, backend, None)
+
+
+def _saturated(g: Family, k: int, backend: str, searcher: CoverSearcher | None) -> Verdict:
+    """check_saturated on a given searcher over g, or on one built only
+    when some candidate needs confirming."""
     u = g.universe
     u.require_table()
     j = k - 1
@@ -132,7 +142,7 @@ def check_saturated(g: Family, k: int, *, backend: str = "auto") -> Verdict:
         if vanishing.size == 0:
             return Verdict(True)
         candidates = map(int, vanishing)
-    searcher = _searcher(g)
+    searcher = searcher or _searcher(g)
     for x in candidates:
         if searcher.find(u.full ^ x, j) is None:
             return Verdict(False, GapWitness(x), reason="not_saturated")
@@ -154,10 +164,13 @@ def is_maximal_kwise(
     g = complement_family(f) if world == "direct" else f
     g.universe.require_table()
     downset = is_downset(g)
-    kw = check_kwise(g, k, backend=backend)
+    _require_backend(backend)
+    # one searcher serves both checks; the k-wise query runs on it first
+    searcher = _searcher(g)
+    kw = _kwise(g, k, searcher)
     if not kw.ok:
         return Verdict(False, kw.witness, "not_kwise", downset)
-    sat = check_saturated(g, k, backend=backend)
+    sat = _saturated(g, k, backend, searcher)
     return Verdict(sat.ok, sat.witness, sat.reason, downset)
 
 

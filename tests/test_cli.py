@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,9 @@ from kwise import (
 from kwise.cli import main, parse_args
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "verify_cli.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "verify_cli.json").read_text())
+GREEDY_GOLDEN = json.loads((GOLDEN_DIR / "greedy_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +233,33 @@ def test_greedy_byte_stable(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def _greedy_seed_family(k, n, step):
+    f = build_family(ConstructionParams(k, n)).f
+    return Family(f.universe, f.members[::step])
+
+
+@pytest.mark.parametrize(
+    "case",
+    GREEDY_GOLDEN,
+    ids=lambda c: "-".join(a.lstrip("-") for a in c["argv"]) + ("-in" if "seed_family" in c else ""),
+)
+def test_greedy_golden_output(case, capsys, tmp_path):
+    # stdout and written family files recorded from the two-path greedy (a
+    # cover table rebuilt per insertion for n <= 14, a snapshot table plus
+    # cover search above); the coverage-level path must reproduce them
+    argv = ["greedy", *case["argv"], "--out", str(tmp_path)]
+    if "seed_family" in case:
+        seed_path = tmp_path / "seed.txt"
+        seed_path.write_text(write_family(_greedy_seed_family(**case["seed_family"])))
+        argv += ["--in", str(seed_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    files = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.glob("greedy_*.txt"))
+    }
+    assert (code, out, files) == (case["code"], case["stdout"], case["files"])
 
 
 def test_distance_construction(capsys):

@@ -18,7 +18,7 @@ from kwise import (
     size_table,
     submasks,
 )
-from oracles import brute_downset_indicators
+from oracles import brute_downset_indicators, brute_kwise_ok, completable
 
 
 def random_family(rng, n, max_members=10):
@@ -159,10 +159,53 @@ def test_greedy_extends_given_seed_family():
     assert is_maximal_kwise(out, 3, "complement").ok
 
 
-def test_greedy_snapshot_path_matches_table_path():
-    # n above the exact-table threshold exercises the snapshot branch
+def test_greedy_n15_verifies_maximal():
+    # a larger universe than the exhaustive checks below reach
     g = greedy_saturate(Family(Universe(15)), 3, 2)
     assert is_maximal_kwise(g, 3, "complement", backend="dp").ok
+
+
+def _reference_greedy(seed_members, n, k, order_seed, order):
+    """Greedy by definition: repeat passes over the candidate order, adding
+    every mask that no <= k-1 members complete to the full set, until a
+    pass adds nothing."""
+    cand = list(range(1 << n))
+    if order == "random":
+        random.Random(order_seed).shuffle(cand)
+    else:
+        cand.sort(key=lambda m: (-m.bit_count(), m))
+    members = set(seed_members)
+    added = True
+    while added:
+        added = False
+        tops = [m for m in members if not any(m | o == o != m for o in members)]
+        for x in cand:
+            if x not in members and not completable(tops, x, n, k):
+                members.add(x)
+                tops = [t for t in tops if t | x != x] + [x]
+                added = True
+    return members
+
+
+def test_greedy_matches_reference_greedy():
+    # from the empty family in both orders, then from random down-sets
+    rng = random.Random(3)
+    seeded = 0
+    for k in range(2, 6):
+        for n in range(1, 8 if k < 5 else 7):  # the reference is slow at (5, 7)
+            runs = [((), "popcount", 0), ((), "random", rng.randrange(1000))]
+            for _ in range(4):
+                tops = [rng.randrange(1 << n) for _ in range(rng.randint(1, 3))]
+                members = {s for m in tops for s in submasks(m)}
+                if brute_kwise_ok(sorted(members), n, k):
+                    order = rng.choice(("random", "popcount"))
+                    runs.append((members, order, rng.randrange(1000)))
+                    seeded += 1
+            for members, order, order_seed in runs:
+                got = greedy_saturate(Family(Universe(n), members), k, order_seed, order=order)
+                want = _reference_greedy(members, n, k, order_seed, order)
+                assert set(got.members) == want, (k, n, sorted(members), order, order_seed)
+    assert seeded >= 40
 
 
 # --- cube distance -----------------------------------------------------------
