@@ -34,10 +34,10 @@ def parse_set_line(line: str, u: Universe) -> SetMask:
             e = int(part)
         except ValueError:
             raise ValueError(f"bad set line: {line!r}") from None
+        if not 1 <= e <= u.n:
+            raise ValueError(f"element {e} outside universe 1..{u.n}")
         if e <= prev:
             raise ValueError(f"elements must be strictly ascending: {line!r}")
-        if e > u.n:
-            raise ValueError(f"element {e} outside universe 1..{u.n}")
         mask |= 1 << (e - 1)
         prev = e
     return mask

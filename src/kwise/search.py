@@ -1,10 +1,12 @@
 """Construction-independent generators and probes.
 
 Exhaustive down-set enumeration at tiny n (the complement world of any
-maximal family is a down-set, so down-sets are the whole search space), an
-exact minimum-size oracle on top of it, seeded greedy saturation at medium
-n, cube-distance reports against block partitions, and an aggregate size
-table.
+maximal family is a down-set, so down-sets are the whole search space) and
+an exact minimum-size oracle over it. The oracle walks the down-sets once
+per n: two exact cover numbers of each down-set give the whole interval of
+arities k at which it is maximal, so one pass answers every k. Also seeded
+greedy saturation at medium n, cube-distance reports against block
+partitions, and an aggregate size table.
 """
 
 from __future__ import annotations
@@ -12,13 +14,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .construction import BlockPartition, ConstructionParams, build_family, expected_size
-from .setcore import Family, SetMask, Universe, complement_family, downset_closure
-from .verifier import check_kwise, is_maximal_kwise
+from .setcore import (
+    Family,
+    SetMask,
+    Universe,
+    complement_family,
+    downset_closure,
+    fold_supersets,
+    maximal_elements,
+)
+from .verifier import check_kwise
 
 DOWNSET_MAX_N = 5
 GREEDY_MAX_N = 20
@@ -74,24 +85,67 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
     yield from extend([], 0)
 
 
-def oracle_min_size(k: int, u: Universe) -> OracleResult:
-    """Filter every complement-world down-set through the verifier and
-    report the minimum size with its achiever count."""
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+def maximal_arity_range(g: Family) -> tuple[float, float]:
+    """The arities k for which the down-set g (complement world) is a maximal
+    k-wise intersecting family: exactly lo <= k < hi. Either may be inf.
+
+    Both halves come from c(T), the fewest maximal elements of g whose union
+    contains T (inf when none does): g is k-wise intersecting iff k < c(full),
+    and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
+    iff k > c(full ^ x) for every non-member x.
+    """
+    u = g.universe
+    tops = maximal_elements(g).members
+    # breadth first over unions of tops: c[S] is the fewest tops whose union is S
+    c = [inf] * u.num_masks
+    c[0] = 0
+    frontier = [0]
+    while frontier:
+        reached = []
+        for s in frontier:
+            for t in tops:
+                m = s | t
+                if c[m] == inf:
+                    c[m] = c[s] + 1
+                    reached.append(m)
+        frontier = reached
+    cover = fold_supersets(np.array(c), np.minimum)  # now over unions S >= T
+    gap = np.ones(u.num_masks, dtype=bool)
+    gap[list(g.members)] = False
+    # cover[::-1][x] is cover[full ^ x]
+    return float(1 + cover[::-1][gap].max(initial=0)), float(cover[-1])
+
+
+def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
+    """Exact minimum for every arity in ks from one pass over the down-sets.
+    Each k keeps its first smallest achiever in enumeration order."""
+    if any(k < 2 for k in ks):
+        raise ValueError(f"arity k must be >= 2, got {min(ks)}")
     if u.n > DOWNSET_MAX_N:
         raise ValueError(f"exhaustive oracle needs n <= {DOWNSET_MAX_N}, got n={u.n}")
-    best: Family | None = None
-    count = 0
+    best: dict[int, Family] = {}
+    count = dict.fromkeys(ks, 0)
     for g in enumerate_downsets(u):
-        if not is_maximal_kwise(g, k, world="complement", backend="tuples").ok:
-            continue
-        if best is None or len(g) < len(best):
-            best, count = g, 1
-        elif len(g) == len(best):
-            count += 1
-    assert best is not None  # the complement of the star is always maximal
-    return OracleResult(k, u.n, len(best), count, complement_family(best))
+        lo, hi = maximal_arity_range(g)
+        for k in count:  # each arity once, even if ks repeats it
+            if not lo <= k < hi:
+                continue
+            if k not in best or len(g) < len(best[k]):
+                best[k], count[k] = g, 1
+            elif len(g) == len(best[k]):
+                count[k] += 1
+    # the complement of the star is maximal for every k, so best has each k
+    return {
+        k: OracleResult(k, u.n, len(best[k]), count[k], complement_family(best[k]))
+        for k in count
+    }
+
+
+def oracle_min_size(k: int, u: Universe) -> OracleResult:
+    """Exact minimum size of a maximal k-wise intersecting family over u,
+    with its achiever count and first achiever. Every down-set is taken as
+    a complement world and kept when k falls in its maximal_arity_range."""
+    return _oracle_results((k,), u)[k]
 
 
 def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random") -> Family:
@@ -222,6 +276,12 @@ def size_table(
     """One row per (k, n): construction size, closed-form size, exhaustive
     minimum, and the best greedy size over `runs` seeds. Infeasible cells
     stay None."""
+    oracle_ks = [k for k in ks if k >= 2]
+    oracle = {
+        n: _oracle_results(oracle_ks, Universe(n))
+        for n in ns
+        if oracle_ks and n <= DOWNSET_MAX_N
+    }
     rows = []
     for k in ks:
         for n in ns:
@@ -237,8 +297,8 @@ def size_table(
                 p = ConstructionParams(k, n)
                 row["size"] = len(build_family(p).f)
                 row["formula"] = expected_size(p)
-            if k >= 2 and n <= DOWNSET_MAX_N:
-                row["oracle"] = oracle_min_size(k, Universe(n)).f_k_n
+            if k >= 2 and n in oracle:
+                row["oracle"] = oracle[n][k].f_k_n
             if runs >= 1 and k >= 2 and n <= GREEDY_MAX_N:
                 empty = Family(Universe(n))
                 row["greedy_min"] = min(

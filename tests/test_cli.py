@@ -22,6 +22,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "verify_cli.json").read_text())
 GREEDY_GOLDEN = json.loads((GOLDEN_DIR / "greedy_cli.json").read_text())
+ORACLE_GOLDEN = json.loads((GOLDEN_DIR / "oracle_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +289,17 @@ def test_table_formula_matches_construction(capsys):
         row = dict(zip(cols, line.split("\t")))
         if row["formula"]:
             assert row["size"] == row["formula"], row
+
+
+@pytest.mark.parametrize(
+    "case", ORACLE_GOLDEN, ids=lambda c: "-".join(a.lstrip("-") for a in c["argv"])
+)
+def test_oracle_golden_output(case, capsys):
+    # stdout recorded from the per-k oracle that sent every down-set through
+    # the verifier once per k; the one-pass oracle must reproduce it, the
+    # first achiever in enumeration order and the achiever counts included
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["code"], case["stdout"])
 
 
 def test_table_oracle_cell(capsys):

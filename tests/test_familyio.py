@@ -58,3 +58,18 @@ def test_duplicates_collapse():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ValueError):
         read_family(text)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("n=3\n0\n", "element 0 outside universe 1..3"),
+        ("n=3\n-2,1\n", "element -2 outside universe 1..3"),
+        ("n=3\n1,4\n", "element 4 outside universe 1..3"),
+        ("n=3\n2,0\n", "element 0 outside universe 1..3"),
+        ("n=3\n2,1\n", "elements must be strictly ascending"),
+    ],
+)
+def test_malformed_element_messages(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_family(text)

@@ -18,7 +18,13 @@ from kwise import (
     size_table,
     submasks,
 )
-from oracles import brute_downset_indicators, brute_kwise_ok, completable
+from kwise.search import _oracle_results, maximal_arity_range
+from oracles import (
+    brute_downset_indicators,
+    brute_first_unsaturated,
+    brute_kwise_ok,
+    completable,
+)
 
 
 def random_family(rng, n, max_members=10):
@@ -89,6 +95,39 @@ def test_oracle_k4_n5_below_construction_range():
     res = oracle_min_size(4, Universe(5))
     assert 1 <= res.f_k_n <= 16
     assert is_maximal_kwise(res.sample_extremal, 4, "direct").ok
+
+
+def _maximal_by_definition(g, k):
+    members = list(g.members)
+    n = g.universe.n
+    return brute_kwise_ok(members, n, k) and brute_first_unsaturated(members, n, k) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maximal_arity_range_matches_verifier(n):
+    # k runs past n, where c(full) <= n < k unless some element is uncovered
+    for g in enumerate_downsets(Universe(n)):
+        lo, hi = maximal_arity_range(g)
+        for k in range(2, n + 4):
+            expect = lo <= k < hi
+            for backend in ("dp", "tuples"):
+                assert is_maximal_kwise(g, k, "complement", backend=backend).ok == expect
+            assert _maximal_by_definition(g, k) == expect
+
+
+def test_maximal_arity_range_matches_verifier_n5_sample():
+    sample = random.Random(5).sample(list(enumerate_downsets(Universe(5))), 300)
+    for g in sample:
+        lo, hi = maximal_arity_range(g)
+        for k in range(2, 7):
+            assert is_maximal_kwise(g, k, "complement", backend="tuples").ok == (lo <= k < hi)
+
+
+def test_oracle_one_pass_for_many_ks_matches_single_k():
+    # a repeated arity must not count its achievers twice
+    u = Universe(4)
+    shared = _oracle_results([3, 2, 3, 6], u)
+    assert shared == {k: oracle_min_size(k, u) for k in (2, 3, 6)}
 
 
 def test_oracle_validation():
