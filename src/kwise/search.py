@@ -6,7 +6,9 @@ an exact minimum-size oracle over it. The oracle walks the down-sets once
 per n: two exact cover numbers of each down-set give the whole interval of
 arities k at which it is maximal, so one pass answers every k. Also seeded
 greedy saturation at medium n, cube-distance reports against block
-partitions, and an aggregate size table.
+partitions, and an aggregate size table. The oracle and the greedy read
+their cover numbers from one setcore primitive, CoverNumbers, updated in
+place on each insertion.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ import numpy as np
 
 from .construction import BlockPartition, ConstructionParams, build_family, expected_size
 from .setcore import (
+    CoverNumbers,
     Family,
     SetMask,
     Universe,
     complement_family,
     downset_closure,
-    fold_supersets,
-    maximal_elements,
 )
 from .verifier import check_kwise
 
@@ -89,31 +90,21 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
     """The arities k for which the down-set g (complement world) is a maximal
     k-wise intersecting family: exactly lo <= k < hi. Either may be inf.
 
-    Both halves come from c(T), the fewest maximal elements of g whose union
+    Both halves come from c(T), the fewest members of g whose union
     contains T (inf when none does): g is k-wise intersecting iff k < c(full),
     and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
     iff k > c(full ^ x) for every non-member x.
     """
-    u = g.universe
-    tops = maximal_elements(g).members
-    # breadth first over unions of tops: c[S] is the fewest tops whose union is S
-    c = [inf] * u.num_masks
-    c[0] = 0
-    frontier = [0]
-    while frontier:
-        reached = []
-        for s in frontier:
-            for t in tops:
-                m = s | t
-                if c[m] == inf:
-                    c[m] = c[s] + 1
-                    reached.append(m)
-        frontier = reached
-    cover = fold_supersets(np.array(c), np.minimum)  # now over unions S >= T
-    gap = np.ones(u.num_masks, dtype=bool)
+    n = g.universe.n
+    cover = CoverNumbers(n, n + 1)  # a cover never needs more than n members
+    # a subset has a smaller mask, so largest first inserts only maximal members
+    for x in reversed(g.members):
+        cover.insert(x)
+    c = np.where(cover.c > n, inf, cover.c)
+    gap = np.ones(c.size, dtype=bool)
     gap[list(g.members)] = False
-    # cover[::-1][x] is cover[full ^ x]
-    return float(1 + cover[::-1][gap].max(initial=0)), float(cover[-1])
+    # c[::-1][x] is c[full ^ x]
+    return float(1 + c[::-1][gap].max(initial=0)), float(c[-1])
 
 
 def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
@@ -153,9 +144,10 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
 
     Candidate masks are scanned in a seed-determined order ("random" is a
     seeded shuffle of all masks, "popcount" visits larger sets first with
-    ties by mask value); each mask whose addition keeps the no-k-cover
-    property is added. Coverage levels grow with every insertion, so one
-    pass decides every candidate exactly.
+    ties by mask value); each mask that no k - 1 members complete to the
+    full set is added, which keeps the no-k-cover property. Cover numbers
+    only fall as members are added, so one pass decides every candidate
+    exactly.
     """
     u = g0.universe
     if u.n > GREEDY_MAX_N:
@@ -174,32 +166,17 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         raise ValueError(f"unknown candidate order {order!r}")
 
     members: set[SetMask] = set(g0.members)
-    # cov[t][T]: T lies inside the union of at most t members. A cover of T
-    # never needs more than |T| <= n members, so levels above n repeat level n.
-    j = min(k - 1, u.n)
-    cov = np.zeros((j + 1, size), dtype=bool)
-    cov[:, 0] = True
-    cube = cov.reshape((j + 1,) + (2,) * u.n)  # axis n-1-i holds bit i
-
-    def insert(x: SetMask) -> None:
-        if cov[1, x]:
-            return  # x lies under a member and covers nothing new
-        # index 0 along x's axes reads every level at T & ~x
-        under = tuple(
-            slice(0, 1) if x >> (u.n - 1 - a) & 1 else slice(None) for a in range(u.n)
-        )
-        for t in range(j, 0, -1):
-            # level t-1 is still the old one: a cover never needs x twice
-            np.logical_or(cube[t], cube[(t - 1, *under)], out=cube[t])
-
+    # c[T] >= cap exactly when no k - 1 members cover T, since a cover never
+    # needs more than n members
+    cover = CoverNumbers(u.n, min(k - 1, u.n) + 1)
     for x in members:
-        insert(x)
-    # coverage only grows, so a rejected candidate stays rejected: one pass
-    top = cov[j]
+        cover.insert(x)
+    # cover numbers only fall, so a rejected candidate stays rejected: one pass
+    c, cap = cover.c, cover.cap
     for x in cand:
-        if x not in members and not top[full ^ x]:
+        if x not in members and c[full ^ x] >= cap:
             members.add(x)
-            insert(x)
+            cover.insert(x)
     return Family(u, members)
 
 

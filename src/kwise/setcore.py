@@ -6,6 +6,8 @@ One in-place kernel folds an array over the subset lattice, bit by bit:
 with addition it is the subset-sum (zeta) transform, with subtraction its
 Moebius inverse, with OR or min over supersets the down-closure and the
 superset-min closure. The cover table and the cover counts are built on it.
+CoverNumbers keeps the fewest-members cover number of every mask for a
+family that grows one insertion at a time.
 """
 
 from __future__ import annotations
@@ -246,6 +248,36 @@ def cover_residues(f: Family, j: int, p: int) -> np.ndarray:
     return moebius_mod(power, p)
 
 
+class CoverNumbers:
+    """Cover numbers of a growing family over all 2^n masks.
+
+    c[T] is the fewest inserted masks whose union contains T, capped at
+    cap (2 <= cap <= 254): c[0] is 0, and cap stands for "cap or more",
+    which includes "no cover at all".
+    """
+
+    __slots__ = ("n", "cap", "c", "_cube")
+
+    def __init__(self, n: int, cap: int) -> None:
+        if not 2 <= cap <= 254:
+            raise ValueError(f"cover cap must be in 2..254, got {cap}")
+        self.n = n
+        self.cap = cap
+        self.c = np.full(1 << n, cap, dtype=np.uint8)
+        self.c[0] = 0
+        self._cube = self.c.reshape((2,) * n)  # axis n-1-i holds bit i
+
+    def insert(self, x: SetMask) -> None:
+        if self.c[x] <= 1:
+            return  # x lies under an inserted mask and covers nothing new
+        # index 0 along x's axes reads c at T & ~x; a cover never needs x
+        # twice, and masks disjoint from x keep their value
+        under = tuple(
+            slice(0, 1) if x >> (self.n - 1 - a) & 1 else slice(None) for a in range(self.n)
+        )
+        np.minimum(self._cube, self._cube[under] + 1, out=self._cube)
+
+
 class CoverTable:
     """Minimum union-cover sizes for every mask of the lattice.
 
@@ -373,40 +405,15 @@ class CoverSearcher:
         return None
 
 
-def can_cover(
-    f: Family,
-    target: SetMask,
-    j: int,
-    *,
-    backend: str = "auto",
-    table: CoverTable | None = None,
-) -> bool:
+def can_cover(f: Family, target: SetMask, j: int) -> bool:
     """True iff some <= j members of f union to a superset of target.
 
     For down-sets this coincides with hitting the target exactly (restrict
-    each member to the target). The default backend searches over maximal
-    elements; pass a prebuilt CoverTable (or backend="dp") for the
-    transform route.
+    each member to the target). The search runs over maximal elements; a
+    prebuilt CoverTable answers the same query with its own can_cover.
     """
     f.universe.check_mask(target)
     if j < 1:
         raise ValueError(f"cover budget must be >= 1, got {j}")
-    if target == 0:
-        return True
-    if table is not None:
-        v = table.covering(target)
-        if v is not None and v <= j:
-            return True
-        if table.limit >= j:
-            return False
-        raise ValueError(f"cover table limit {table.limit} cannot decide budget {j}")
-    if backend == "auto":
-        backend = "tuples"
-    if backend == "dp":
-        if j > COVER_MAX_J:
-            raise ValueError(f"dp backend caps the budget at {COVER_MAX_J}")
-        return can_cover(f, target, j, table=build_cover_table(f, j))
-    if backend != "tuples":
-        raise ValueError(f"unknown backend {backend!r}")
     tops = maximal_elements(f).members
     return CoverSearcher(tops, f.universe.n).find(target, j) is not None

@@ -12,6 +12,14 @@ non-member ("tuples"); the same search confirms each candidate in
 ascending order, so both backends report the first failing mask. Failed
 checks carry witnesses that re-verify by plain mask arithmetic,
 independently of the search that produced them.
+
+Saturation stays on the residue counts rather than on setcore's
+CoverNumbers (one in-place 2^n update per maximal element, as the greedy
+and the oracle use): the counts cost the same however many maximal
+elements a family has. Measured on a 2-vCPU VM, the construction at
+(k, n) = (5, 20) has 20 maximal elements and took 0.06 s in updates
+against 0.10 s in residues, but a greedy result at (3, 18) with 387
+maximal elements took 0.61 s against 0.02 s.
 """
 
 from __future__ import annotations
@@ -130,7 +138,8 @@ def _saturated(g: Family, k: int, backend: str, searcher: CoverSearcher | None) 
     when some candidate needs confirming."""
     u = g.universe
     u.require_table()
-    j = k - 1
+    # a cover never needs more than n members, so larger budgets decide alike
+    j = min(k - 1, u.n)
     if not g.members:
         # only the full set completes itself (with zero members)
         return Verdict(False, GapWitness(0), reason="not_saturated")

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,7 +20,13 @@ from kwise import (
     maximal_elements,
     submasks,
 )
-from kwise.setcore import cover_residues, fold_subsets, fold_supersets, moebius_mod
+from kwise.setcore import (
+    CoverNumbers,
+    cover_residues,
+    fold_subsets,
+    fold_supersets,
+    moebius_mod,
+)
 from oracles import naive_min_cover
 
 
@@ -238,6 +244,65 @@ def test_cover_residues_count_exact_union_tuples(p):
             assert np.array_equal(cover_residues(f, j, p), counts % p)
 
 
+# --- cover numbers -----------------------------------------------------------
+
+
+def _literal_cover_numbers(inserted, n, cap):
+    """Fewest inserted masks whose union contains T, capped, by trying
+    every subset of the distinct inserted masks."""
+    out = [cap] * (1 << n)
+    distinct = sorted(set(inserted))
+    for r in range(len(distinct) + 1):
+        for combo in combinations(distinct, r):
+            union = 0
+            for m in combo:
+                union |= m
+            for t in submasks(union):
+                out[t] = min(out[t], r, cap)
+    return out
+
+
+def test_cover_numbers_match_definition(monkeypatch):
+    # every insertion of a mask under no earlier one (0 included) is one
+    # in-place update; repeats and masks under earlier ones are none
+    updates = []
+    minimum = np.minimum
+
+    def counting(*args, **kwargs):
+        updates.append(1)
+        return minimum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "minimum", counting)
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cap = rng.choice((2, 3, n + 1))
+        cover = CoverNumbers(n, cap)
+        inserted = []
+        assert cover.c.tolist() == _literal_cover_numbers(inserted, n, cap)
+        for _ in range(rng.randint(0, 8)):
+            pick = rng.random()
+            if inserted and pick < 0.2:
+                x = rng.choice(inserted)
+            elif inserted and pick < 0.4:
+                x = rng.choice(inserted) & rng.randrange(1 << n)
+            else:
+                x = rng.randrange(1 << n)
+            new = x != 0 and all(x | m != m for m in inserted)
+            before = len(updates)
+            cover.insert(x)
+            inserted.append(x)
+            assert len(updates) - before == new
+            assert cover.c.dtype == np.uint8
+            assert cover.c.tolist() == _literal_cover_numbers(inserted, n, cap), (n, cap, inserted)
+
+
+def test_cover_numbers_cap_validation():
+    for cap in (1, 255):
+        with pytest.raises(ValueError):
+            CoverNumbers(3, cap)
+
+
 # --- cover table -----------------------------------------------------------
 
 
@@ -331,7 +396,7 @@ def test_can_cover_backends_agree_on_random_queries():
     for _ in range(1000):
         target = rng.randrange(1 << n)
         j = rng.randint(1, 4)
-        assert can_cover(f, target, j) == can_cover(f, target, j, table=table)
+        assert can_cover(f, target, j) == table.can_cover(target, j)
 
 
 @given(families(max_n=7), st.integers(0, 127), st.integers(1, 4))

@@ -138,6 +138,26 @@ def test_saturated_rejects_large_universe():
         check_saturated(Family(Universe(25), [1]), 3)
 
 
+def test_saturation_budget_capped_at_n(monkeypatch):
+    # a cover never needs more than n members: a huge k must count no more
+    # than n-tuples and decide exactly as k = n + 1 does
+    budgets = []
+
+    def recording(g, j, p):
+        budgets.append(j)
+        return cover_residues(g, j, p)
+
+    monkeypatch.setattr(verifier, "cover_residues", recording)
+    u = Universe(10)
+    star = make_star(u)
+    cases = [star, Family(u, star.members[1:]), Family(u, star.members[:-1]), Family(u, [1, 2])]
+    for f in cases:
+        for backend in ("dp", "tuples"):
+            huge = is_maximal_kwise(f, 10**6, backend=backend)
+            assert huge == is_maximal_kwise(f, u.n + 1, backend=backend)
+    assert budgets and max(budgets) <= u.n
+
+
 # --- is_maximal_kwise --------------------------------------------------------
 
 
