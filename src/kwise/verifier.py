@@ -7,8 +7,12 @@ at most k - 1 members whose union with X is everything.
 
 Every verdict is exact. The k-wise property is decided by one branch-and-
 bound query over maximal elements. Saturation takes its candidate gaps
-from cover counts modulo a prime ("dp", the default) or from every
-non-member ("tuples"); the same search confirms each candidate in
+from cover counts modulo a prime ("dp", the default) or, with no modular
+arithmetic, from the border: the non-members x all of whose one-bit-
+smaller subsets x ^ b are members ("tuples"). The border suffices because
+a target only grows as its mask shrinks: if x fails, full ^ (x ^ b)
+contains full ^ x, so a non-member x ^ b < x fails too, and the first
+failing mask is a border mask. The same search confirms each candidate in
 ascending order, so both backends report the first failing mask. Failed
 checks carry witnesses that re-verify by plain mask arithmetic,
 independently of the search that produced them.
@@ -120,6 +124,19 @@ def _vanishing_nonmembers(g: Family, j: int) -> np.ndarray:
     return np.flatnonzero(vanish)
 
 
+def _border(g: Family) -> np.ndarray:
+    """Ascending non-members x such that x ^ b is a member for every bit b
+    of x: the minimal non-members, including 0 when 0 is not a member."""
+    member = np.zeros(g.universe.num_masks, dtype=bool)
+    member[np.fromiter(g.members, dtype=np.int64, count=len(g))] = True
+    border = ~member
+    for i in range(g.universe.n):
+        b = border.reshape(-1, 2, 1 << i)
+        m = member.reshape(-1, 2, 1 << i)
+        np.logical_and(b[:, 1, :], m[:, 0, :], out=b[:, 1, :])
+    return np.flatnonzero(border)
+
+
 def check_saturated(g: Family, k: int, *, backend: str = "auto") -> Verdict:
     """Every non-member mask must admit <= k-1 members completing it to the
     full set.
@@ -135,7 +152,11 @@ def check_saturated(g: Family, k: int, *, backend: str = "auto") -> Verdict:
 
 def _saturated(g: Family, k: int, backend: str, searcher: CoverSearcher | None) -> Verdict:
     """check_saturated on a given searcher over g, or on one built only
-    when some candidate needs confirming."""
+    when some candidate needs confirming.
+
+    "tuples" confirms only the border masks: a failing non-member x with a
+    non-member x ^ b would leave x ^ b < x failing too, since its target
+    full ^ (x ^ b) contains full ^ x."""
     u = g.universe
     u.require_table()
     # a cover never needs more than n members, so larger budgets decide alike
@@ -144,8 +165,7 @@ def _saturated(g: Family, k: int, backend: str, searcher: CoverSearcher | None) 
         # only the full set completes itself (with zero members)
         return Verdict(False, GapWitness(0), reason="not_saturated")
     if backend == "tuples":
-        members = g.index
-        candidates = (x for x in range(u.num_masks) if x not in members)
+        candidates = map(int, _border(g))
     else:
         vanishing = _vanishing_nonmembers(g, j)
         if vanishing.size == 0:
@@ -168,12 +188,12 @@ def is_maximal_kwise(
     not enter ok.
     """
     _require_k(k)
+    _require_backend(backend)
     if world not in ("direct", "complement"):
         raise ValueError(f"world must be 'direct' or 'complement', got {world!r}")
     g = complement_family(f) if world == "direct" else f
     g.universe.require_table()
     downset = is_downset(g)
-    _require_backend(backend)
     # one searcher serves both checks; the k-wise query runs on it first
     searcher = _searcher(g)
     kw = _kwise(g, k, searcher)

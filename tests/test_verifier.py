@@ -15,6 +15,7 @@ from kwise import (
     check_saturated,
     complement_family,
     downset_closure,
+    is_downset,
     is_maximal_kwise,
     make_star,
     maximal_elements,
@@ -138,6 +139,31 @@ def test_saturated_rejects_large_universe():
         check_saturated(Family(Universe(25), [1]), 3)
 
 
+def _border_by_definition(members, n):
+    memberset = set(members)
+    return [
+        x
+        for x in range(1 << n)
+        if x not in memberset and all(x ^ (1 << b) in memberset for b in range(n) if x >> b & 1)
+    ]
+
+
+def test_border_matches_definition():
+    rng = random.Random(41)
+    cases = []
+    for n in range(1, 9):
+        u = Universe(n)
+        cases += [Family(u), Family(u, range(u.num_masks))]
+        for _ in range(6):
+            f = random_family(rng, n, max_members=3 * n)
+            cases += [f, downset_closure(f)]
+    for g in cases:
+        border = verifier._border(g)
+        assert border.tolist() == _border_by_definition(g.members, g.universe.n), g
+    assert verifier._border(Family(Universe(5))).tolist() == [0]
+    assert verifier._border(Family(Universe(5), range(32))).size == 0
+
+
 def test_saturation_budget_capped_at_n(monkeypatch):
     # a cover never needs more than n members: a huge k must count no more
     # than n-tuples and decide exactly as k = n + 1 does
@@ -186,6 +212,14 @@ def test_world_validation():
         is_maximal_kwise(Family(Universe(3)), 2, "sideways")
 
 
+def test_unknown_backend_rejected_before_any_work():
+    # n = 25 is past the table limit, so any work on the family would
+    # raise "universe too large" first
+    for world in ("direct", "complement"):
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            is_maximal_kwise(Family(Universe(25), [1]), 3, world, backend="bogus")
+
+
 def test_construction_passes_both_checks_up_to_n20():
     # the acceptance suite covers n <= 16 with both backends; this sweeps
     # the rest of the table-feasible band
@@ -211,6 +245,44 @@ def test_backends_agree_on_random_downsets():
             vd = is_maximal_kwise(g, k, "complement", backend="dp")
             vt = is_maximal_kwise(g, k, "complement", backend="tuples")
             assert vd == vt
+
+
+def test_backends_agree_on_construction_n16_and_mutants():
+    rng = random.Random(16)
+    failures = 0
+    for k in (3, 4, 5):
+        g = build_family(ConstructionParams(k, 16)).f
+        tops = maximal_elements(g).members
+        inner = [m for m in sorted(set(g.members) - set(tops)) if 0 < m.bit_count() < 8]
+        no_top = Family(g.universe, set(g.members) - {rng.choice(tops)})
+        holed = Family(g.universe, set(g.members) - {rng.choice(inner)})
+        assert not is_downset(holed)
+        for case in (g, no_top, holed):
+            vd = is_maximal_kwise(case, k, "complement", backend="dp")
+            vt = is_maximal_kwise(case, k, "complement", backend="tuples")
+            assert vd == vt, (k, vd, vt)
+            if not vd.ok:
+                failures += 1
+                assert verify_witness(vd, case, k)
+        assert is_maximal_kwise(g, k, "complement", backend="tuples").ok
+    assert failures >= 3
+
+
+def test_tuples_matches_brute_force_at_k4():
+    rng = random.Random(78)
+    failures = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        g = random_family(rng, n)
+        if not brute_kwise_ok(g.members, n, 4):
+            continue
+        want_first = brute_first_unsaturated(g.members, n, 4)
+        v = check_saturated(g, 4, backend="tuples")
+        assert v.ok == (want_first is None), (g.members, n)
+        if want_first is not None:
+            failures += 1
+            assert v.witness == GapWitness(want_first)
+    assert failures > 5
 
 
 def test_matches_brute_force_on_arbitrary_families():
