@@ -8,7 +8,8 @@ arities k at which it is maximal, so one pass answers every k. Also seeded
 greedy saturation at medium n, cube-distance reports against block
 partitions, and an aggregate size table. The oracle and the greedy read
 their cover numbers from one setcore primitive, CoverNumbers, updated in
-place on each insertion.
+place on each insertion. The greedy's popcount candidate order comes from
+n int8 passes over all 2^n masks and one stable argsort.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         cand = list(range(size))
         random.Random(order_seed).shuffle(cand)
     elif order == "popcount":
-        cand = sorted(range(size), key=lambda m: (-m.bit_count(), m))
+        cand = _popcount_order(u.n).tolist()
     else:
         raise ValueError(f"unknown candidate order {order!r}")
 
@@ -171,13 +172,22 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     cover = CoverNumbers(u.n, min(k - 1, u.n) + 1)
     for x in members:
         cover.insert(x)
-    # cover numbers only fall, so a rejected candidate stays rejected: one pass
-    c, cap = cover.c, cover.cap
+    # cover numbers only fall, so a rejected candidate stays rejected: one pass;
+    # the memoryview sees insert's in-place updates and indexes to plain ints
+    c, cap = memoryview(cover.c), cover.cap
     for x in cand:
         if x not in members and c[full ^ x] >= cap:
             members.add(x)
             cover.insert(x)
     return Family(u, members)
+
+
+def _popcount_order(n: int) -> np.ndarray:
+    """All 2^n masks, larger popcount first, ties by ascending mask value."""
+    pc = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        pc.reshape(-1, 2, 1 << i)[:, 1, :] += 1
+    return np.argsort(-pc, kind="stable")
 
 
 def cube_distance(f: Family, bp: BlockPartition) -> CubeReport:

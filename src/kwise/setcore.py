@@ -2,6 +2,9 @@
 
 A set over the ground set {1, .., n} is an n-bit mask with element i stored
 in bit i - 1. Families are immutable, deduplicated, sorted mask collections.
+The down-set test and the maximal elements are numpy passes over the sorted
+member array, one per bit or per popcount level, with no 2^n table, so
+they hold for every n <= 62.
 One in-place kernel folds an array over the subset lattice, bit by bit:
 with addition it is the subset-sum (zeta) transform, with subtraction its
 Moebius inverse, with OR or min over supersets the down-closure and the
@@ -21,6 +24,9 @@ SetMask = int
 ALGEBRA_MAX_N = 62
 TABLE_MAX_N = 24
 COVER_MAX_J = 8
+# candidate x top pairs in one containment temporary of maximal_elements:
+# 8 MiB of int64
+_CONTAIN_CHUNK = 1 << 20
 
 _NONE = 255
 # Tuple counts in the transform domain can exceed 64 bits, so they are
@@ -149,15 +155,16 @@ def is_downset(f: Family) -> bool:
     """True iff every subset of every member is a member.
 
     Removing any single element of a member must land in the family; by
-    induction this is equivalent to full downward closure.
+    induction this is equivalent to full downward closure. One pass per
+    bit looks the one-bit-smaller children up in the sorted member array,
+    so no 2^n table is needed and every n <= 62 is allowed.
     """
-    for m in f.members:
-        rest = m
-        while rest:
-            bit = rest & -rest
-            if (m ^ bit) not in f:
-                return False
-            rest ^= bit
+    a = _member_array(f)
+    for i in range(f.universe.n):
+        children = a[a >> i & 1 == 1] ^ (1 << i)
+        # a child is smaller than its parent, so its insertion point is in range
+        if not np.array_equal(a[np.searchsorted(a, children)], children):
+            return False
     return True
 
 
@@ -179,12 +186,44 @@ def downset_closure(f: Family) -> Family:
 
 
 def maximal_elements(f: Family) -> Family:
-    """Members not strictly contained in another member (an antichain)."""
-    tops: list[SetMask] = []
-    for m in sorted(f.members, key=lambda x: (-x.bit_count(), x)):
-        if not any(m | t == t for t in tops):
-            tops.append(m)
-    return Family(f.universe, tops)
+    """Members not strictly contained in another member (an antichain).
+
+    Levels are taken from the largest popcount down. A member is dropped iff
+    a top found on a higher level contains it, so the result is exact for
+    any family, down-set or not; each containment test holds at most
+    _CONTAIN_CHUNK elements.
+    """
+    a = _member_array(f)
+    pc = np.zeros(a.size, dtype=np.int8)
+    for i in range(f.universe.n):
+        pc += (a >> i & 1).astype(np.int8)
+    tops = a[:0]
+    for level in np.flatnonzero(np.bincount(pc))[::-1]:
+        cand = a[pc == level]
+        if tops.size:
+            cand = cand[~_contained(cand, tops)]
+        tops = np.concatenate((tops, cand))
+    return Family(f.universe, tops.tolist())
+
+
+def _member_array(f: Family) -> np.ndarray:
+    """The members as an ascending int64 array."""
+    return np.fromiter(f.members, dtype=np.int64, count=len(f.members))
+
+
+def _contained(cand: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """For each candidate, whether some top is a superset of it, from
+    candidate x top blocks of at most _CONTAIN_CHUNK elements."""
+    out = np.zeros(cand.size, dtype=bool)
+    cols = min(tops.size, _CONTAIN_CHUNK)
+    rows = _CONTAIN_CHUNK // cols
+    outside = ~tops
+    for r in range(0, cand.size, rows):
+        block = cand[r : r + rows, None]
+        for t in range(0, tops.size, cols):
+            hit = (block & outside[None, t : t + cols]) == 0
+            out[r : r + rows] |= hit.any(axis=1)
+    return out
 
 
 def make_star(u: Universe) -> Family:
@@ -235,7 +274,7 @@ def cover_residues(f: Family, j: int, p: int) -> np.ndarray:
     if not f.members:
         raise ValueError("cover counts require a nonempty family")
     down = np.zeros(u.num_masks, dtype=bool)
-    down[np.fromiter(f.members, dtype=np.int64, count=len(f.members))] = True
+    down[_member_array(f)] = True
     zeta = fold_subsets(fold_supersets(down, np.logical_or).astype(np.int64), np.add)
     del down
     # zeta <= 2^24 and residues < 2^31, so each product fits in int64; a
@@ -328,7 +367,7 @@ def build_cover_table(f: Family, j_max: int) -> CoverTable:
     if not f.members:
         raise ValueError("cover table requires a nonempty family")
     ind = np.zeros(u.num_masks, dtype=np.int64)
-    ind[np.fromiter(f.members, dtype=np.int64, count=len(f.members))] = 1
+    ind[_member_array(f)] = 1
     return cover_table_from_indicator(ind, u, j_max)
 
 

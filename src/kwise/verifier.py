@@ -34,6 +34,7 @@ import numpy as np
 
 from .setcore import (
     _PRIMES,
+    _member_array,
     CoverSearcher,
     Family,
     SetMask,
@@ -120,7 +121,7 @@ def _vanishing_nonmembers(g: Family, j: int) -> np.ndarray:
     # the completion target of mask x is full ^ x, the reversed index
     vanish = residues[::-1] == 0
     del residues
-    vanish[np.fromiter(g.members, dtype=np.int64, count=len(g))] = False
+    vanish[_member_array(g)] = False
     return np.flatnonzero(vanish)
 
 
@@ -128,7 +129,7 @@ def _border(g: Family) -> np.ndarray:
     """Ascending non-members x such that x ^ b is a member for every bit b
     of x: the minimal non-members, including 0 when 0 is not a member."""
     member = np.zeros(g.universe.num_masks, dtype=bool)
-    member[np.fromiter(g.members, dtype=np.int64, count=len(g))] = True
+    member[_member_array(g)] = True
     border = ~member
     for i in range(g.universe.n):
         b = border.reshape(-1, 2, 1 << i)

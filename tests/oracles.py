@@ -92,3 +92,23 @@ def brute_downset_indicators(n):
         if ok:
             out.append(frozenset(memberset))
     return out
+
+
+def naive_is_downset(members):
+    """Every subset of every member is a member, enumerating all subsets."""
+    memberset = set(members)
+    for m in members:
+        s = m
+        while s:
+            s = (s - 1) & m
+            if s not in memberset:
+                return False
+    return True
+
+
+def naive_maximal_elements(members):
+    """Ascending members that no other member strictly contains, by
+    comparing every pair."""
+    return sorted(
+        m for m in set(members) if not any(m != o and m | o == o for o in members)
+    )

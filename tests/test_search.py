@@ -18,7 +18,7 @@ from kwise import (
     size_table,
     submasks,
 )
-from kwise.search import _oracle_results, maximal_arity_range
+from kwise.search import _oracle_results, _popcount_order, maximal_arity_range
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
@@ -176,6 +176,12 @@ def test_greedy_popcount_order():
     b = greedy_saturate(Family(Universe(7)), 3, 77, order="popcount")
     assert a == b  # the order ignores the seed entirely
     assert is_maximal_kwise(a, 3, "complement").ok
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_popcount_order_is_larger_sets_first_then_ascending(n):
+    want = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
+    assert _popcount_order(n).tolist() == want
 
 
 def test_greedy_rejects_bad_seed_family():

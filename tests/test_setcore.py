@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kwise import (
     CoverSearcher,
@@ -20,14 +20,16 @@ from kwise import (
     maximal_elements,
     submasks,
 )
+from kwise import setcore
 from kwise.setcore import (
+    ALGEBRA_MAX_N,
     CoverNumbers,
     cover_residues,
     fold_subsets,
     fold_supersets,
     moebius_mod,
 )
-from oracles import naive_min_cover
+from oracles import naive_is_downset, naive_maximal_elements, naive_min_cover
 
 
 def fam(u, *sets):
@@ -48,6 +50,28 @@ def families(draw, max_n=8, max_members=14):
     n = draw(st.integers(1, max_n))
     masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=max_members))
     return Family(Universe(n), masks)
+
+
+@st.composite
+def wide_families(draw):
+    """Families over n in 1..62 whose masks often set bit n - 1: random
+    families (rarely down-sets), and down-set closures of a few narrow
+    masks, as they are, less one member or plus one mask."""
+    n = draw(st.integers(1, ALGEBRA_MAX_N))
+    u = Universe(n)
+    masks = st.integers(0, u.full) | st.integers(1 << (n - 1), u.full)
+    kind = draw(st.sampled_from(("random", "closure", "closure-minus", "closure-plus")))
+    if kind == "random":
+        return Family(u, draw(st.frozensets(masks, max_size=12)))
+    narrow = st.frozensets(st.integers(0, n - 1), max_size=5).map(
+        lambda bits: sum(1 << b for b in bits)
+    )
+    members = set(downset_closure(Family(u, draw(st.lists(narrow, max_size=4)))).members)
+    if kind == "closure-minus" and members:
+        members.discard(draw(st.sampled_from(sorted(members))))
+    elif kind == "closure-plus":
+        members.add(draw(masks))
+    return Family(u, members)
 
 
 # --- Universe and masks ---------------------------------------------------
@@ -139,6 +163,27 @@ def test_is_downset_trivials():
     assert is_downset(cube)
 
 
+@given(wide_families())
+@example(Family(Universe(62), [1 << 61]))  # only bit n - 1 has a missing child
+@example(Family(Universe(5), [0, 0b11010]))  # only the last member has one
+def test_is_downset_matches_definition(f):
+    assert is_downset(f) == naive_is_downset(f.members)
+
+
+@pytest.mark.parametrize(
+    ("f", "tops"),
+    [
+        (Family(Universe(6)), ()),
+        (Family(Universe(6), [0]), (0,)),
+        (Family(Universe(6), range(64)), (63,)),
+    ],
+    ids=["empty", "empty-set", "cube"],
+)
+def test_setcore_primitives_on_trivial_downsets(f, tops):
+    assert is_downset(f) and naive_is_downset(f.members)
+    assert maximal_elements(f).members == tops == tuple(naive_maximal_elements(f.members))
+
+
 def test_downset_closure_example():
     u = Universe(2)
     assert downset_closure(fam(u, (1, 2))) == fam(u, (), (1,), (2,), (1, 2))
@@ -176,17 +221,34 @@ def test_maximal_elements_examples():
     assert maximal_elements(anti) == anti
 
 
+@given(wide_families())
+def test_maximal_elements_matches_definition(f):
+    assert list(maximal_elements(f).members) == naive_maximal_elements(f.members)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1000])
+@pytest.mark.parametrize("shape", ["closure", "not-downset"])
+def test_maximal_elements_across_containment_chunks(monkeypatch, chunk, shape):
+    u = Universe(10)
+    layer = [m for m in range(1 << 10) if m.bit_count() == 5]
+    members = set(downset_closure(Family(u, layer)).members)
+    if shape == "not-downset":
+        # drop the empty set and the pairs, and add a 7-set over 21 of the tops
+        members -= {m for m in members if m.bit_count() in (0, 2)}
+        members.add(0b1111111)
+    f = Family(u, members)
+    monkeypatch.setattr(setcore, "_CONTAIN_CHUNK", chunk)
+    tops = maximal_elements(f)
+    assert list(tops.members) == naive_maximal_elements(f.members)
+    assert len(tops) == (252 if shape == "closure" else 252 - 21 + 1)
+
+
 def test_maximal_elements_vs_quadratic_oracle():
     from kwise import ConstructionParams, build_family
 
     f = build_family(ConstructionParams(3, 6)).f
     tops = maximal_elements(f)
-    expected = [
-        m
-        for m in f.members
-        if not any(m != o and m | o == o for o in f.members)
-    ]
-    assert tops.members == tuple(sorted(expected))
+    assert list(tops.members) == naive_maximal_elements(f.members)
     assert downset_closure(tops) == downset_closure(f)
 
 
