@@ -21,12 +21,17 @@ def format_set_line(m: SetMask) -> str:
 def parse_set_line(line: str, u: Universe) -> SetMask:
     if line == "{}":
         return 0
+    # int() reads underscores as digit separators; the format has none
     if line[:2].lower() == "0x":
         try:
+            if "_" in line:
+                raise ValueError
             m = int(line, 16)
         except ValueError:
             raise ValueError(f"bad hex mask line: {line!r}") from None
         return u.check_mask(m)
+    if "_" in line:
+        raise ValueError(f"bad set line: {line!r}")
     mask = 0
     prev = 0
     for part in line.split(","):
@@ -65,6 +70,8 @@ def read_family(text: str | Iterable[str]) -> Family:
             if not line.startswith("n="):
                 raise ValueError(f"family files start with n=<int>, got {line!r}")
             try:
+                if "_" in line:
+                    raise ValueError
                 n = int(line[2:])
             except ValueError:
                 raise ValueError(f"bad universe size line: {line!r}") from None

@@ -88,8 +88,9 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
 
 
 def maximal_arity_range(g: Family) -> tuple[float, float]:
-    """The arities k for which the down-set g (complement world) is a maximal
-    k-wise intersecting family: exactly lo <= k < hi. Either may be inf.
+    """The arities k for which g (complement world, a down-set or not) is
+    a maximal k-wise intersecting family: exactly lo <= k < hi. Either may
+    be inf.
 
     Both halves come from c(T), the fewest members of g whose union
     contains T (inf when none does): g is k-wise intersecting iff k < c(full),

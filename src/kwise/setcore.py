@@ -8,7 +8,7 @@ they hold for every n <= 62.
 One in-place kernel folds an array over the subset lattice, bit by bit:
 with addition it is the subset-sum (zeta) transform, with subtraction its
 Moebius inverse, with OR or min over supersets the down-closure and the
-superset-min closure. The cover table and the cover counts are built on it.
+superset-min closure. The cover table is built on it.
 CoverNumbers keeps the fewest-members cover number of every mask for a
 family that grows one insertion at a time.
 """
@@ -258,33 +258,6 @@ def moebius_mod(a: np.ndarray, p: int) -> np.ndarray:
     fold_subsets(a, np.subtract)
     a %= p
     return a
-
-
-def cover_residues(f: Family, j: int, p: int) -> np.ndarray:
-    """For every mask T, the number of j-tuples of members of f's
-    down-closure whose union is exactly T, modulo p.
-
-    The closure contains the empty set, so the count is nonzero exactly
-    when at most j members of f union to a superset of T. A nonzero residue
-    therefore proves such a cover; a zero residue may be a multiple of p.
-    At most two 2^n int64 arrays are alive at once.
-    """
-    u = f.universe
-    u.require_table()
-    if not f.members:
-        raise ValueError("cover counts require a nonempty family")
-    down = np.zeros(u.num_masks, dtype=bool)
-    down[_member_array(f)] = True
-    zeta = fold_subsets(fold_supersets(down, np.logical_or).astype(np.int64), np.add)
-    del down
-    # zeta <= 2^24 and residues < 2^31, so each product fits in int64; a
-    # square is taken in place, without a second array
-    power = zeta if j <= 2 else zeta.copy()
-    for _ in range(j - 1):
-        power *= zeta
-        power %= p
-    del zeta
-    return moebius_mod(power, p)
 
 
 class CoverNumbers:

@@ -6,24 +6,13 @@ set, and maximal exactly when additionally every non-member mask X admits
 at most k - 1 members whose union with X is everything.
 
 Every verdict is exact. The k-wise property is decided by one branch-and-
-bound query over maximal elements. Saturation takes its candidate gaps
-from cover counts modulo a prime ("dp", the default) or, with no modular
-arithmetic, from the border: the non-members x all of whose one-bit-
-smaller subsets x ^ b are members ("tuples"). The border suffices because
-a target only grows as its mask shrinks: if x fails, full ^ (x ^ b)
-contains full ^ x, so a non-member x ^ b < x fails too, and the first
-failing mask is a border mask. The same search confirms each candidate in
-ascending order, so both backends report the first failing mask. Failed
-checks carry witnesses that re-verify by plain mask arithmetic,
-independently of the search that produced them.
-
-Saturation stays on the residue counts rather than on setcore's
-CoverNumbers (one in-place 2^n update per maximal element, as the greedy
-and the oracle use): the counts cost the same however many maximal
-elements a family has. Measured on a 2-vCPU VM, the construction at
-(k, n) = (5, 20) has 20 maximal elements and took 0.06 s in updates
-against 0.10 s in residues, but a greedy result at (3, 18) with 387
-maximal elements took 0.61 s against 0.02 s.
+bound query over maximal elements. Saturation confirms, by the same search
+and in ascending order, only the border: the non-members x all of whose
+one-bit-smaller subsets x ^ b are members. The border suffices because a
+target only grows as its mask shrinks: if x fails, full ^ (x ^ b) contains
+full ^ x, so a non-member x ^ b < x fails too, and the first failing mask
+is a border mask. Failed checks carry witnesses that re-verify by plain
+mask arithmetic, independently of the search that produced them.
 """
 
 from __future__ import annotations
@@ -33,22 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .setcore import (
-    _PRIMES,
     _member_array,
     CoverSearcher,
     Family,
     SetMask,
     build_cover_table,  # noqa: F401  bench/tracer.py patches this binding
     complement_family,
-    cover_residues,
     is_downset,
     maximal_elements,
 )
-
-_BACKENDS = ("auto", "dp", "tuples")
-# One prime suffices: a residue only nominates candidates, and the search
-# decides each one.
-_PRIME = _PRIMES[0]
 
 
 @dataclass(frozen=True)
@@ -85,22 +67,14 @@ def _require_k(k: int) -> None:
         raise ValueError(f"arity k must be >= 2, got {k}")
 
 
-def _require_backend(backend: str) -> None:
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-
-
 def _searcher(g: Family) -> CoverSearcher:
     return CoverSearcher(maximal_elements(g).members, g.universe.n)
 
 
-def check_kwise(g: Family, k: int, *, backend: str = "auto") -> Verdict:
-    """No multiset of <= k members of g may union to the full ground set.
-
-    Every backend decides this with one search over maximal elements.
-    """
+def check_kwise(g: Family, k: int) -> Verdict:
+    """No multiset of <= k members of g may union to the full ground set,
+    decided by one search over maximal elements."""
     _require_k(k)
-    _require_backend(backend)
     return _kwise(g, k, _searcher(g))
 
 
@@ -111,18 +85,6 @@ def _kwise(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
     if found is None:
         return Verdict(True)
     return Verdict(False, CoverWitness(found), reason="not_kwise")
-
-
-def _vanishing_nonmembers(g: Family, j: int) -> np.ndarray:
-    """Ascending non-members x whose completion target full ^ x has a zero
-    cover-count residue: every true gap, plus any count that is a nonzero
-    multiple of the prime."""
-    residues = cover_residues(g, j, _PRIME)
-    # the completion target of mask x is full ^ x, the reversed index
-    vanish = residues[::-1] == 0
-    del residues
-    vanish[_member_array(g)] = False
-    return np.flatnonzero(vanish)
 
 
 def _border(g: Family) -> np.ndarray:
@@ -138,50 +100,30 @@ def _border(g: Family) -> np.ndarray:
     return np.flatnonzero(border)
 
 
-def check_saturated(g: Family, k: int, *, backend: str = "auto") -> Verdict:
+def check_saturated(g: Family, k: int) -> Verdict:
     """Every non-member mask must admit <= k-1 members completing it to the
     full set.
 
-    Candidate gaps are confirmed by search in ascending mask order and the
-    verdict carries the first failure: a mask that could be added without
-    breaking the k-wise property.
+    Border masks are confirmed by search in ascending order and the verdict
+    carries the first failure: a mask that could be added without breaking
+    the k-wise property.
     """
     _require_k(k)
-    _require_backend(backend)
-    return _saturated(g, k, backend, None)
+    return _saturated(g, k, _searcher(g))
 
 
-def _saturated(g: Family, k: int, backend: str, searcher: CoverSearcher | None) -> Verdict:
-    """check_saturated on a given searcher over g, or on one built only
-    when some candidate needs confirming.
-
-    "tuples" confirms only the border masks: a failing non-member x with a
-    non-member x ^ b would leave x ^ b < x failing too, since its target
-    full ^ (x ^ b) contains full ^ x."""
+def _saturated(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
     u = g.universe
     u.require_table()
     # a cover never needs more than n members, so larger budgets decide alike
     j = min(k - 1, u.n)
-    if not g.members:
-        # only the full set completes itself (with zero members)
-        return Verdict(False, GapWitness(0), reason="not_saturated")
-    if backend == "tuples":
-        candidates = map(int, _border(g))
-    else:
-        vanishing = _vanishing_nonmembers(g, j)
-        if vanishing.size == 0:
-            return Verdict(True)
-        candidates = map(int, vanishing)
-    searcher = searcher or _searcher(g)
-    for x in candidates:
+    for x in map(int, _border(g)):
         if searcher.find(u.full ^ x, j) is None:
             return Verdict(False, GapWitness(x), reason="not_saturated")
     return Verdict(True)
 
 
-def is_maximal_kwise(
-    f: Family, k: int, world: str = "direct", *, backend: str = "auto"
-) -> Verdict:
+def is_maximal_kwise(f: Family, k: int, world: str = "direct") -> Verdict:
     """k-wise intersecting and saturated.
 
     The verdict also reports whether the complement-world family is a
@@ -189,7 +131,6 @@ def is_maximal_kwise(
     not enter ok.
     """
     _require_k(k)
-    _require_backend(backend)
     if world not in ("direct", "complement"):
         raise ValueError(f"world must be 'direct' or 'complement', got {world!r}")
     g = complement_family(f) if world == "direct" else f
@@ -200,7 +141,7 @@ def is_maximal_kwise(
     kw = _kwise(g, k, searcher)
     if not kw.ok:
         return Verdict(False, kw.witness, "not_kwise", downset)
-    sat = _saturated(g, k, backend, searcher)
+    sat = _saturated(g, k, searcher)
     return Verdict(sat.ok, sat.witness, sat.reason, downset)
 
 

@@ -68,6 +68,7 @@ def test_parse_table_ranges():
         ["distance", "--k", "4", "--n", "9", "--minimize"],
         ["nonsense"],
         ["verify", "--k", "2", "--frobnicate"],
+        ["verify", "--k", "3", "--backend", "bogus"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

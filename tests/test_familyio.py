@@ -53,6 +53,10 @@ def test_duplicates_collapse():
         "n=3\n0x9\n",  # hex mask out of range
         "n=3\n1,a\n",
         "n=3\n0xzz\n",
+        # int() alone would read these as n = 10, element 10 and mask 3
+        "n=1_0\n",
+        "n=10\n1,1_0\n",
+        "n=4\n0x_3\n",
     ],
 )
 def test_malformed_inputs_rejected(text):

@@ -110,8 +110,7 @@ def test_maximal_arity_range_matches_verifier(n):
         lo, hi = maximal_arity_range(g)
         for k in range(2, n + 4):
             expect = lo <= k < hi
-            for backend in ("dp", "tuples"):
-                assert is_maximal_kwise(g, k, "complement", backend=backend).ok == expect
+            assert is_maximal_kwise(g, k, "complement").ok == expect
             assert _maximal_by_definition(g, k) == expect
 
 
@@ -120,7 +119,7 @@ def test_maximal_arity_range_matches_verifier_n5_sample():
     for g in sample:
         lo, hi = maximal_arity_range(g)
         for k in range(2, 7):
-            assert is_maximal_kwise(g, k, "complement", backend="tuples").ok == (lo <= k < hi)
+            assert is_maximal_kwise(g, k, "complement").ok == (lo <= k < hi)
 
 
 def test_oracle_one_pass_for_many_ks_matches_single_k():
@@ -207,7 +206,9 @@ def test_greedy_extends_given_seed_family():
 def test_greedy_n15_verifies_maximal():
     # a larger universe than the exhaustive checks below reach
     g = greedy_saturate(Family(Universe(15)), 3, 2)
-    assert is_maximal_kwise(g, 3, "complement", backend="dp").ok
+    lo, hi = maximal_arity_range(g)
+    assert lo <= 3 < hi
+    assert is_maximal_kwise(g, 3, "complement").ok
 
 
 def _reference_greedy(seed_members, n, k, order_seed, order):

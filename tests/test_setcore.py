@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from kwise import setcore
 from kwise.setcore import (
     ALGEBRA_MAX_N,
     CoverNumbers,
-    cover_residues,
     fold_subsets,
     fold_supersets,
     moebius_mod,
@@ -286,24 +285,6 @@ def test_fold_supersets_closure_and_min():
     sup = fold_supersets(vals.copy(), np.minimum)
     for m in range(1 << 7):
         assert sup[m] == min(int(vals[s]) for s in range(1 << 7) if s & m == m)
-
-
-@pytest.mark.parametrize("p", [3, 2_147_483_647])
-def test_cover_residues_count_exact_union_tuples(p):
-    rng = random.Random(6)
-    for _ in range(6):
-        f = random_family(rng, 4, 5)
-        if not f.members:
-            continue
-        down = downset_closure(f).members
-        for j in (1, 2, 3):
-            counts = np.zeros(16, dtype=np.int64)
-            for combo in product(down, repeat=j):
-                union = 0
-                for m in combo:
-                    union |= m
-                counts[union] += 1
-            assert np.array_equal(cover_residues(f, j, p), counts % p)
 
 
 # --- cover numbers -----------------------------------------------------------

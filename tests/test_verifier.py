@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from kwise import (
     ConstructionParams,
+    CoverSearcher,
     CoverWitness,
     Family,
     GapWitness,
@@ -22,8 +23,8 @@ from kwise import (
     verify_witness,
 )
 from kwise import verifier
-from kwise.setcore import cover_residues
-from oracles import brute_first_unsaturated, brute_kwise_ok, completable
+from kwise.search import maximal_arity_range
+from oracles import brute_first_unsaturated, brute_kwise_ok
 
 
 def random_family(rng, n, max_members=12):
@@ -68,10 +69,9 @@ def test_kwise_empty_family_vacuous():
 def test_kwise_backends_equal_on_failures():
     u = Universe(4)
     g = Family(u, [0b0011, 0b1100, 0b0101])
-    vd = check_kwise(g, 2, backend="dp")
-    vt = check_kwise(g, 2, backend="tuples")
-    assert vd == vt
-    assert not vd.ok and verify_witness(vd, g, 2)
+    assert not brute_kwise_ok(g.members, 4, 2)
+    v = check_kwise(g, 2)
+    assert not v.ok and verify_witness(v, g, 2)
 
 
 def test_kwise_requires_k_at_least_2():
@@ -125,13 +125,12 @@ def test_deletion_matches_naive_recheck():
     tops = maximal_elements(built.f).members
     for removed in tops[:3]:
         g = Family(built.f.universe, set(built.f.members) - {removed})
-        for backend in ("dp", "tuples"):
-            v = check_saturated(g, 4, backend=backend)
-            want = brute_first_unsaturated(g.members, 9, 4)
-            assert v.ok == (want is None)
-            if want is not None:
-                assert v.witness == GapWitness(want)
-                assert verify_witness(v, g, 4)
+        v = check_saturated(g, 4)
+        want = brute_first_unsaturated(g.members, 9, 4)
+        assert v.ok == (want is None)
+        if want is not None:
+            assert v.witness == GapWitness(want)
+            assert verify_witness(v, g, 4)
 
 
 def test_saturated_rejects_large_universe():
@@ -165,23 +164,26 @@ def test_border_matches_definition():
 
 
 def test_saturation_budget_capped_at_n(monkeypatch):
-    # a cover never needs more than n members: a huge k must count no more
-    # than n-tuples and decide exactly as k = n + 1 does
+    # a cover never needs more than n members: with a huge k the saturation
+    # scan must ask the search for no more than n and decide exactly as
+    # k = n + 1 does
     budgets = []
+    find = CoverSearcher.find
 
-    def recording(g, j, p):
-        budgets.append(j)
-        return cover_residues(g, j, p)
+    def recording(self, target, budget):
+        budgets.append(budget)
+        return find(self, target, budget)
 
-    monkeypatch.setattr(verifier, "cover_residues", recording)
     u = Universe(10)
     star = make_star(u)
     cases = [star, Family(u, star.members[1:]), Family(u, star.members[:-1]), Family(u, [1, 2])]
-    for f in cases:
-        for backend in ("dp", "tuples"):
-            huge = is_maximal_kwise(f, 10**6, backend=backend)
-            assert huge == is_maximal_kwise(f, u.n + 1, backend=backend)
+    with monkeypatch.context() as m:
+        m.setattr(CoverSearcher, "find", recording)
+        huge = [check_saturated(f, 10**6) for f in cases]
+    assert huge == [check_saturated(f, u.n + 1) for f in cases]
     assert budgets and max(budgets) <= u.n
+    for f in cases:
+        assert is_maximal_kwise(f, 10**6) == is_maximal_kwise(f, u.n + 1)
 
 
 # --- is_maximal_kwise --------------------------------------------------------
@@ -212,21 +214,13 @@ def test_world_validation():
         is_maximal_kwise(Family(Universe(3)), 2, "sideways")
 
 
-def test_unknown_backend_rejected_before_any_work():
-    # n = 25 is past the table limit, so any work on the family would
-    # raise "universe too large" first
-    for world in ("direct", "complement"):
-        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
-            is_maximal_kwise(Family(Universe(25), [1]), 3, world, backend="bogus")
-
-
 def test_construction_passes_both_checks_up_to_n20():
-    # the acceptance suite covers n <= 16 with both backends; this sweeps
-    # the rest of the table-feasible band
+    # the acceptance suite covers n <= 16; this sweeps the rest of the
+    # table-feasible band
     for k in (3, 4, 5, 6):
         for n in range(17, 21):
             built = build_family(ConstructionParams(k, n))
-            v = is_maximal_kwise(built.f, k, "complement", backend="dp")
+            v = is_maximal_kwise(built.f, k, "complement")
             assert v.ok, (k, n)
 
 
@@ -237,14 +231,22 @@ def test_duality_of_worlds(f):
     assert direct == through_complement
 
 
+def _check_against_cover_numbers(g, k):
+    """The verdict agrees with maximal_arity_range, which reads cover numbers
+    and never runs the search, and a failure's witness re-verifies."""
+    lo, hi = maximal_arity_range(g)
+    v = is_maximal_kwise(g, k, "complement")
+    assert v.ok == (lo <= k < hi), (g, k, v)
+    assert v.ok or verify_witness(v, g, k)
+    return v
+
+
 def test_backends_agree_on_random_downsets():
     rng = random.Random(21)
     for _ in range(25):
         g = downset_closure(random_family(rng, rng.randint(3, 8)))
         for k in (2, 3, 4):
-            vd = is_maximal_kwise(g, k, "complement", backend="dp")
-            vt = is_maximal_kwise(g, k, "complement", backend="tuples")
-            assert vd == vt
+            _check_against_cover_numbers(g, k)
 
 
 def test_backends_agree_on_construction_n16_and_mutants():
@@ -257,14 +259,10 @@ def test_backends_agree_on_construction_n16_and_mutants():
         no_top = Family(g.universe, set(g.members) - {rng.choice(tops)})
         holed = Family(g.universe, set(g.members) - {rng.choice(inner)})
         assert not is_downset(holed)
-        for case in (g, no_top, holed):
-            vd = is_maximal_kwise(case, k, "complement", backend="dp")
-            vt = is_maximal_kwise(case, k, "complement", backend="tuples")
-            assert vd == vt, (k, vd, vt)
-            if not vd.ok:
+        assert _check_against_cover_numbers(g, k).ok
+        for case in (no_top, holed):
+            if not _check_against_cover_numbers(case, k).ok:
                 failures += 1
-                assert verify_witness(vd, case, k)
-        assert is_maximal_kwise(g, k, "complement", backend="tuples").ok
     assert failures >= 3
 
 
@@ -277,7 +275,7 @@ def test_tuples_matches_brute_force_at_k4():
         if not brute_kwise_ok(g.members, n, 4):
             continue
         want_first = brute_first_unsaturated(g.members, n, 4)
-        v = check_saturated(g, 4, backend="tuples")
+        v = check_saturated(g, 4)
         assert v.ok == (want_first is None), (g.members, n)
         if want_first is not None:
             failures += 1
@@ -298,11 +296,11 @@ def test_matches_brute_force_on_arbitrary_families():
             if not want_kwise:
                 continue
             want_first = brute_first_unsaturated(g.members, n, k)
-            for backend in ("dp", "tuples"):
-                v = check_saturated(g, k, backend=backend)
-                assert v.ok == (want_first is None), (g.members, n, k, backend)
-                if want_first is not None:
-                    assert v.witness == GapWitness(want_first)
+            v = check_saturated(g, k)
+            assert v.ok == (want_first is None), (g.members, n, k)
+            if want_first is not None:
+                assert v.witness == GapWitness(want_first)
+                assert verify_witness(v, g, k)
 
 
 def test_every_failure_witness_verifies():
@@ -333,32 +331,16 @@ def _exactness_cases():
         yield Family(g.universe, (*g.members, added)), k
 
 
-@pytest.mark.parametrize("prime", [2, 3])
-def test_verdicts_exact_under_tiny_prime(prime, monkeypatch):
-    # a tiny prime makes nonzero cover counts vanish often; the search must
-    # reject every such candidate so verdicts and witnesses stay exact
-    monkeypatch.setattr(verifier, "_PRIME", prime)
-    false_vanishes = 0
+def test_verdicts_exact_against_brute_force():
     for g, k in _exactness_cases():
-        n, full = g.universe.n, g.universe.full
-        v = is_maximal_kwise(g, k, "complement", backend="dp")
+        n = g.universe.n
+        v = is_maximal_kwise(g, k, "complement")
         if not brute_kwise_ok(g.members, n, k):
             assert v.reason == "not_kwise" and verify_witness(v, g, k)
             continue
         first = brute_first_unsaturated(g.members, n, k)
         assert v.ok == (first is None), (g.members, k)
         assert v.witness == (None if first is None else GapWitness(first))
-        # count the false vanishes the verdict depends on: those scanned
-        # before the first gap, or anywhere in a saturated family
-        stop = g.universe.num_masks if first is None else first
-        if g.members:
-            residues = cover_residues(g, k - 1, prime)
-            false_vanishes += sum(
-                1
-                for x in range(stop)
-                if x not in g and residues[full ^ x] == 0 and completable(g.members, x, n, k)
-            )
-    assert false_vanishes > 0
 
 
 # --- verify_witness ----------------------------------------------------------
