@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,7 +25,8 @@ from kwise import (
 )
 from kwise import verifier
 from kwise.search import maximal_arity_range
-from oracles import brute_first_unsaturated, brute_kwise_ok
+from kwise.setcore import fold_subsets, fold_supersets, moebius_mod
+from oracles import brute_first_unsaturated, brute_kwise_ok, completable
 
 
 def random_family(rng, n, max_members=12):
@@ -331,9 +333,24 @@ def _exactness_cases():
         yield Family(g.universe, (*g.members, added)), k
 
 
-def test_verdicts_exact_against_brute_force():
+def _cover_residues(g, j, p):
+    """For every mask T, the number of j-tuples of members of g's
+    down-closure whose union is exactly T, modulo p: zero wherever no cover
+    exists, and also wherever the count is a multiple of p."""
+    down = np.zeros(g.universe.num_masks, dtype=bool)
+    down[list(g.members)] = True
+    zeta = fold_subsets(fold_supersets(down, np.logical_or).astype(np.int64), np.add)
+    return moebius_mod(zeta**j % p, p)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_verdicts_exact_under_tiny_prime(prime):
+    # modulo a tiny prime, nonzero cover counts vanish often; the case set
+    # must hold such false vanishes, and the verdicts, which rest on no
+    # modular count, must stay exact on them
+    false_vanishes = 0
     for g, k in _exactness_cases():
-        n = g.universe.n
+        n, full = g.universe.n, g.universe.full
         v = is_maximal_kwise(g, k, "complement")
         if not brute_kwise_ok(g.members, n, k):
             assert v.reason == "not_kwise" and verify_witness(v, g, k)
@@ -341,6 +358,15 @@ def test_verdicts_exact_against_brute_force():
         first = brute_first_unsaturated(g.members, n, k)
         assert v.ok == (first is None), (g.members, k)
         assert v.witness == (None if first is None else GapWitness(first))
+        stop = g.universe.num_masks if first is None else first
+        if g.members:
+            residues = _cover_residues(g, k - 1, prime)
+            false_vanishes += sum(
+                1
+                for x in range(stop)
+                if x not in g and residues[full ^ x] == 0 and completable(g.members, x, n, k)
+            )
+    assert false_vanishes > 0
 
 
 # --- verify_witness ----------------------------------------------------------
