@@ -21,16 +21,19 @@ def format_set_line(m: SetMask) -> str:
 def parse_set_line(line: str, u: Universe) -> SetMask:
     if line == "{}":
         return 0
-    # int() reads underscores as digit separators; the format has none
+    # int() also reads signs, inner whitespace, underscores and non-ASCII
+    # digits, none of which the format has: whole-line checks reject them
     if line[:2].lower() == "0x":
+        digits = line[2:]
         try:
-            if "_" in line:
+            if not (digits.isascii() and digits.isalnum()):
                 raise ValueError
             m = int(line, 16)
         except ValueError:
             raise ValueError(f"bad hex mask line: {line!r}") from None
         return u.check_mask(m)
-    if "_" in line:
+    # a minus sign passes here so that "-2" reports the element range
+    if not (line.isascii() and line.replace(",", "").replace("-", "").isdigit()):
         raise ValueError(f"bad set line: {line!r}")
     mask = 0
     prev = 0
@@ -69,13 +72,10 @@ def read_family(text: str | Iterable[str]) -> Family:
         if u is None:
             if not line.startswith("n="):
                 raise ValueError(f"family files start with n=<int>, got {line!r}")
-            try:
-                if "_" in line:
-                    raise ValueError
-                n = int(line[2:])
-            except ValueError:
-                raise ValueError(f"bad universe size line: {line!r}") from None
-            u = Universe(n)
+            size = line[2:]
+            if not (size.isascii() and size.isdigit()):
+                raise ValueError(f"bad universe size line: {line!r}")
+            u = Universe(int(size))
             continue
         masks.append(parse_set_line(line, u))
     if u is None:

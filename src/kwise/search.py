@@ -2,20 +2,23 @@
 
 Exhaustive down-set enumeration at tiny n (the complement world of any
 maximal family is a down-set, so down-sets are the whole search space) and
-an exact minimum-size oracle over it. The oracle walks the down-sets once
-per n: two exact cover numbers of each down-set give the whole interval of
-arities k at which it is maximal, so one pass answers every k. Also seeded
-greedy saturation at medium n, cube-distance reports against block
-partitions, and an aggregate size table. The oracle and the greedy read
-their cover numbers from one setcore primitive, CoverNumbers, updated in
-place on each insertion. The greedy's popcount candidate order comes from
-n int8 passes over all 2^n masks and one stable argsort.
+an exact minimum-size oracle over it. One antichain walk serves both: each
+node holds its down-set and its cover levels (level t: the masks that at
+most t tops cover) as Python-int words over the 2^n masks, and a child adds
+one top with a few word operations. Two exact cover numbers read from the
+levels give the whole interval of arities k at which a down-set is maximal,
+so one pass per n answers every k. Also seeded greedy saturation at medium
+n, cube-distance reports against block partitions, and an aggregate size
+table. The greedy reads its cover numbers from the setcore primitive
+CoverNumbers, updated in place on each insertion; its popcount candidate
+order comes from n int8 passes over all 2^n masks and one stable argsort.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import inf
 from typing import Iterator, Sequence
@@ -29,7 +32,6 @@ from .setcore import (
     SetMask,
     Universe,
     complement_family,
-    downset_closure,
 )
 from .verifier import check_kwise
 
@@ -59,6 +61,59 @@ class CubeReport:
     distance: int
 
 
+@lru_cache(maxsize=None)
+def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Python-int words over the 2^n masks, bit p standing for mask p:
+    DOWN[m] holds the subsets of m, RDOWN[m] their complements full ^ s,
+    and LOW[i] the masks lacking bit i."""
+    size, full = 1 << n, (1 << n) - 1
+    down, rdown = [1], [1 << full]
+    for m in range(1, size):
+        b = m & -m  # s | b == s + b for every subset s of m ^ b
+        down.append(down[m ^ b] | down[m ^ b] << b)
+        rdown.append(rdown[m ^ b] | rdown[m ^ b] >> b)
+    low = tuple(sum(1 << p for p in range(size) if not p >> i & 1) for i in range(n))
+    return tuple(down), tuple(rdown), low
+
+
+def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
+    """Every down-set over [n] once, as (down-set word, lo, hi) with lo and
+    hi as in maximal_arity_range.
+
+    Antichains of tops are extended in lexicographic mask order, and a
+    child differs from its parent by one new top m. Level t of a node holds
+    the masks T with c(T) <= t; adding m sets every T | s with T in level
+    t - 1 and s a subset of m, one shift-and-mask per bit of m, because
+    level t - 1 is down-closed.
+    """
+    down, rdown, low = _word_tables(n)
+    size, full = 1 << n, (1 << n) - 1
+    every = (1 << size) - 1
+    # (tops, down-set, reversed down-set, cover levels 0..n, next candidate)
+    stack = [(0, 0, 0, (1,) + (0,) * n, 0)]
+    while stack:
+        tops, d, r, levels, start = stack.pop()
+        hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
+        # full ^ x for every non-member x; saturated iff each has c < k
+        gaps = every & ~r
+        lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
+        yield d, lo, hi
+        children = []
+        for m in range(start, size):
+            # m exceeds every top, so only a top under m makes them comparable
+            if down[m] & tops:
+                continue
+            shifts = [(low[i], 1 << i) for i in range(n) if m >> i & 1]
+            grown = [1]
+            for t in range(1, n + 1):
+                spread = levels[t - 1]
+                for lw, b in shifts:
+                    spread |= (spread & lw) << b
+                grown.append(levels[t] | spread)
+            children.append((tops | 1 << m, d | down[m], r | rdown[m], tuple(grown), m + 1))
+        stack.extend(reversed(children))
+
+
 def enumerate_downsets(u: Universe) -> Iterator[Family]:
     """Yield every down-set over the universe exactly once.
 
@@ -68,23 +123,12 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
     """
     if u.n > DOWNSET_MAX_N:
         raise ValueError(f"down-set enumeration needs n <= {DOWNSET_MAX_N}, got n={u.n}")
-    size = u.num_masks
+    for d, _, _ in _downset_walk(u.n):
+        yield _family_of_word(u, d)
 
-    def extend(tops: list[SetMask], start: int) -> Iterator[Family]:
-        yield downset_closure(Family(u, tops))
-        for m in range(start, size):
-            incomparable = True
-            for t in tops:
-                joined = m | t
-                if joined == m or joined == t:
-                    incomparable = False
-                    break
-            if incomparable:
-                tops.append(m)
-                yield from extend(tops, m + 1)
-                tops.pop()
 
-    yield from extend([], 0)
+def _family_of_word(u: Universe, d: int) -> Family:
+    return Family(u, [p for p in range(u.num_masks) if d >> p & 1])
 
 
 def maximal_arity_range(g: Family) -> tuple[float, float]:
@@ -95,7 +139,9 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
     Both halves come from c(T), the fewest members of g whose union
     contains T (inf when none does): g is k-wise intersecting iff k < c(full),
     and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
-    iff k > c(full ^ x) for every non-member x.
+    iff k > c(full ^ x) for every non-member x. This form reads c from
+    CoverNumbers and takes any family at any n; the oracle reads the same
+    interval from the cover levels of its down-set walk.
     """
     n = g.universe.n
     cover = CoverNumbers(n, n + 1)  # a cover never needs more than n members
@@ -116,20 +162,23 @@ def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
         raise ValueError(f"arity k must be >= 2, got {min(ks)}")
     if u.n > DOWNSET_MAX_N:
         raise ValueError(f"exhaustive oracle needs n <= {DOWNSET_MAX_N}, got n={u.n}")
-    best: dict[int, Family] = {}
+    best: dict[int, int] = {}  # k -> down-set word of its first smallest achiever
     count = dict.fromkeys(ks, 0)
-    for g in enumerate_downsets(u):
-        lo, hi = maximal_arity_range(g)
+    for d, lo, hi in _downset_walk(u.n):
+        size = d.bit_count()
         for k in count:  # each arity once, even if ks repeats it
             if not lo <= k < hi:
                 continue
-            if k not in best or len(g) < len(best[k]):
-                best[k], count[k] = g, 1
-            elif len(g) == len(best[k]):
+            if k not in best or size < best[k].bit_count():
+                best[k], count[k] = d, 1
+            elif size == best[k].bit_count():
                 count[k] += 1
     # the complement of the star is maximal for every k, so best has each k
     return {
-        k: OracleResult(k, u.n, len(best[k]), count[k], complement_family(best[k]))
+        k: OracleResult(
+            k, u.n, best[k].bit_count(), count[k],
+            complement_family(_family_of_word(u, best[k])),
+        )
         for k in count
     }
 

@@ -5,6 +5,8 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
+from kwise.setcore import Family, downset_closure
+
 
 def naive_min_cover(members, n, j_max):
     """Least-members-to-union table by explicit union enumeration: level j
@@ -112,3 +114,18 @@ def naive_maximal_elements(members):
     return sorted(
         m for m in set(members) if not any(m != o and m | o == o for o in members)
     )
+
+
+def lex_antichain_downsets(u):
+    """Every down-set over u once, as the set-based closure of each antichain
+    of tops, antichains extended in lexicographic mask order."""
+
+    def extend(tops, start):
+        yield downset_closure(Family(u, tops))
+        for m in range(start, u.num_masks):
+            if all(m | t not in (m, t) for t in tops):
+                tops.append(m)
+                yield from extend(tops, m + 1)
+                tops.pop()
+
+    yield from extend([], 0)

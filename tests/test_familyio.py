@@ -57,6 +57,17 @@ def test_duplicates_collapse():
         "n=1_0\n",
         "n=10\n1,1_0\n",
         "n=4\n0x_3\n",
+        # nor are signs, inner whitespace or non-ASCII digits in the format
+        "n=+3\n+1,+2\n",
+        "n=3\n+1,+2\n",
+        "n= 3\n1, 2\n",
+        "n=3\n1, 2\n",
+        "n=3\n1 ,2\n",
+        "n=3\n\u0661,2\n",
+        "n=\u0663\n1\n",
+        "n=3\n0x\u0661\n",
+        "n=3\n0x 3\n",
+        "n=3\n0x+3\n",
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -72,6 +83,9 @@ def test_malformed_inputs_rejected(text):
         ("n=3\n1,4\n", "element 4 outside universe 1..3"),
         ("n=3\n2,0\n", "element 0 outside universe 1..3"),
         ("n=3\n2,1\n", "elements must be strictly ascending"),
+        ("n=+3\n1\n", "bad universe size line"),
+        ("n=3\n1, 2\n", "bad set line"),
+        ("n=3\n0x\u0661\n", "bad hex mask line"),
     ],
 )
 def test_malformed_element_messages(text, message):

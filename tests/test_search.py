@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -18,12 +19,20 @@ from kwise import (
     size_table,
     submasks,
 )
-from kwise.search import _oracle_results, _popcount_order, maximal_arity_range
+from kwise.search import (
+    OracleResult,
+    _downset_walk,
+    _oracle_results,
+    _popcount_order,
+    maximal_arity_range,
+)
+from kwise.setcore import CoverNumbers, complement_family
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
     brute_kwise_ok,
     completable,
+    lex_antichain_downsets,
 )
 
 
@@ -58,6 +67,28 @@ def test_downsets_match_brute_monotone_filter():
 def test_downsets_start_in_lex_antichain_order():
     first = [g.members for g in enumerate_downsets(Universe(2))]
     assert first[:3] == [(), (0,), (0, 1)]
+
+
+@cache
+def reference_walk(n):
+    """(down-set, lo, hi) for every down-set in reference order, with the
+    interval from the per-family CoverNumbers form."""
+    return [(g, *maximal_arity_range(g)) for g in lex_antichain_downsets(Universe(n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_downsets_match_reference_sequence(n):
+    ours = [g.members for g in enumerate_downsets(Universe(n))]
+    assert ours == [g.members for g, _, _ in reference_walk(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_interval_matches_maximal_arity_range(n):
+    walk = [(d, lo, hi) for d, lo, hi in _downset_walk(n)]
+    assert len(walk) == len(reference_walk(n))
+    for (d, lo, hi), (g, ref_lo, ref_hi) in zip(walk, reference_walk(n)):
+        assert d == sum(1 << m for m in g.members)
+        assert (lo, hi) == (ref_lo, ref_hi)
 
 
 def test_downsets_rejects_large_universe():
@@ -127,6 +158,43 @@ def test_oracle_one_pass_for_many_ks_matches_single_k():
     u = Universe(4)
     shared = _oracle_results([3, 2, 3, 6], u)
     assert shared == {k: oracle_min_size(k, u) for k in (2, 3, 6)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_oracle_matches_reference(n):
+    # k = 10**6 lies past every finite cover number: it checks the inf ends
+    # of the intervals
+    u = Universe(n)
+    ks = list(range(2, n + 4)) + [10**6]
+    expect = {}
+    for k in ks:
+        sizes = [len(g) for g, lo, hi in reference_walk(n) if lo <= k < hi]
+        f = min(sizes)
+        first = next(g for g, lo, hi in reference_walk(n) if lo <= k < hi and len(g) == f)
+        expect[k] = OracleResult(k, n, f, sizes.count(f), complement_family(first))
+    assert _oracle_results(ks, u) == expect
+
+
+def test_oracle_makes_no_per_downset_cover_numbers_or_families(monkeypatch):
+    calls = {"cover": 0, "family": 0}
+
+    def counting(cls, name, key):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls[key] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(CoverNumbers, "__init__", "cover")
+    counting(CoverNumbers, "insert", "cover")
+    counting(Family, "__init__", "family")
+    assert oracle_min_size(3, Universe(5)).f_k_n == 9
+    # the achiever and its complement, not one family per down-set
+    assert calls == {"cover": 0, "family": 2}
+    maximal_arity_range(Family(Universe(3), [1, 2]))
+    assert calls["cover"] == 3  # the counters see the per-family form
 
 
 def test_oracle_validation():
