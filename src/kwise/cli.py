@@ -209,10 +209,16 @@ def _emit_rows(fmt: str, command: str, columns: list[str], rows: list[dict]) -> 
         print("\t".join("" if r[c] is None else str(r[c]) for c in columns))
 
 
-def _read_input_family(path: str | None):
+def _read_input_family(path: str | None, n: int | None = None) -> Family:
+    """The family in path (stdin for None or -), which must be over [n]
+    when n is given."""
     if path in (None, "-"):
-        return read_family(sys.stdin.read())
-    return read_family(Path(path).read_text(encoding="utf-8"))
+        fam = read_family(sys.stdin.read())
+    else:
+        fam = read_family(Path(path).read_text(encoding="utf-8"))
+    if n is not None and fam.universe.n != n:
+        raise ValueError(f"input family has n={fam.universe.n}, flags say n={n}")
+    return fam
 
 
 def _cmd_construct(cfg: RunConfig) -> int:
@@ -271,13 +277,10 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 
 
 def _cmd_greedy(cfg: RunConfig) -> int:
-    u = Universe(cfg.n)
     if cfg.input_path:
-        g0 = _read_input_family(cfg.input_path)
-        if g0.universe != u:
-            raise ValueError(f"input family has n={g0.universe.n}, flags say n={cfg.n}")
+        g0 = _read_input_family(cfg.input_path, cfg.n)
     else:
-        g0 = Family(u)
+        g0 = Family(Universe(cfg.n))
     out_dir = Path(cfg.out) if cfg.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,11 +309,7 @@ def _cmd_greedy(cfg: RunConfig) -> int:
 def _cmd_distance(cfg: RunConfig) -> int:
     p = ConstructionParams(cfg.k, cfg.n)
     built = build_family(p)
-    fam = built.f
-    if cfg.input_path:
-        fam = _read_input_family(cfg.input_path)
-        if fam.universe != built.f.universe:
-            raise ValueError(f"input family has n={fam.universe.n}, flags say n={cfg.n}")
+    fam = _read_input_family(cfg.input_path, cfg.n) if cfg.input_path else built.f
     rep = cube_distance(fam, built.partition)
     row = {
         "k": cfg.k,

@@ -1,17 +1,14 @@
 """Construction-independent generators and probes.
 
 Exhaustive down-set enumeration at tiny n (the complement world of any
-maximal family is a down-set, so down-sets are the whole search space) and
-an exact minimum-size oracle over it. One antichain walk serves both: each
-node holds its down-set and its cover levels (level t: the masks that at
-most t tops cover) as Python-int words over the 2^n masks, and a child adds
-one top with a few word operations. Two exact cover numbers read from the
-levels give the whole interval of arities k at which a down-set is maximal,
-so one pass per n answers every k. Also seeded greedy saturation at medium
-n, cube-distance reports against block partitions, and an aggregate size
-table. The greedy reads its cover numbers from the setcore primitive
-CoverNumbers, updated in place on each insertion; its popcount candidate
-order comes from n int8 passes over all 2^n masks and one stable argsort.
+maximal family is a down-set, so down-sets are the whole search space), an
+exact minimum-size oracle over it, seeded greedy saturation at medium n,
+cube-distance reports against block partitions and an aggregate size table.
+The oracle, the greedy and maximal_arity_range share one cover-level
+kernel: level t is a Python-int word over the 2^n masks holding those that
+at most t members cover, and _grow adds a member in a few word operations.
+Two cover numbers read from the levels give the whole interval of arities
+at which a family is maximal, so one down-set walk per n answers every k.
 """
 
 from __future__ import annotations
@@ -27,11 +24,11 @@ import numpy as np
 
 from .construction import BlockPartition, ConstructionParams, build_family, expected_size
 from .setcore import (
-    CoverNumbers,
     Family,
     SetMask,
     Universe,
     complement_family,
+    maximal_elements,
 )
 from .verifier import check_kwise
 
@@ -62,18 +59,53 @@ class CubeReport:
 
 
 @lru_cache(maxsize=None)
-def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Python-int words over the 2^n masks, bit p standing for mask p:
-    DOWN[m] holds the subsets of m, RDOWN[m] their complements full ^ s,
-    and LOW[i] the masks lacking bit i."""
-    size, full = 1 << n, (1 << n) - 1
+    DOWN[m] holds the subsets of m and RDOWN[m] their complements full ^ s."""
+    full = (1 << n) - 1
     down, rdown = [1], [1 << full]
-    for m in range(1, size):
+    for m in range(1, 1 << n):
         b = m & -m  # s | b == s + b for every subset s of m ^ b
         down.append(down[m ^ b] | down[m ^ b] << b)
         rdown.append(rdown[m ^ b] | rdown[m ^ b] >> b)
-    low = tuple(sum(1 << p for p in range(size) if not p >> i & 1) for i in range(n))
-    return tuple(down), tuple(rdown), low
+    return tuple(down), tuple(rdown)
+
+
+@lru_cache(maxsize=None)
+def _low_words(n: int) -> tuple[int, ...]:
+    """LOW[i]: the word of the masks lacking bit i, 2^i ones then 2^i zeros
+    repeated, built by doubling one block."""
+    low = []
+    for i in range(n):
+        x, length = (1 << (1 << i)) - 1, 2 << i
+        while length < 1 << n:
+            x, length = x | x << length, length << 1
+        low.append(x)
+    return tuple(low)
+
+
+def _grow(levels: Sequence[int], x: SetMask, low: Sequence[int]) -> tuple[int, ...]:
+    """Cover levels after adding mask x. Level t holds the masks T with
+    c(T) <= t, c(T) being the fewest members whose union contains T, so
+    with no members every level is 1. Level t gains every T | s with T in
+    level t - 1 and s a subset of x: one shift-and-mask per bit of x, as
+    level t - 1 is down-closed."""
+    shifts = [(low[i], 1 << i) for i in range(x.bit_length()) if x >> i & 1]
+    grown = [levels[0]]
+    for t in range(1, len(levels)):
+        spread = levels[t - 1]
+        for lw, b in shifts:
+            spread |= (spread & lw) << b
+        grown.append(levels[t] | spread)
+    return tuple(grown)
+
+
+def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
+    """(lo, hi) of maximal_arity_range from levels 0..n and gaps, the word
+    of full ^ x over the non-members x; a mask no level holds counts inf."""
+    hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
+    lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
+    return lo, hi
 
 
 def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
@@ -81,36 +113,25 @@ def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
     hi as in maximal_arity_range.
 
     Antichains of tops are extended in lexicographic mask order, and a
-    child differs from its parent by one new top m. Level t of a node holds
-    the masks T with c(T) <= t; adding m sets every T | s with T in level
-    t - 1 and s a subset of m, one shift-and-mask per bit of m, because
-    level t - 1 is down-closed.
+    child differs from its parent by one new top m, added to the cover
+    levels 0..n by _grow.
     """
-    down, rdown, low = _word_tables(n)
+    down, rdown = _word_tables(n)
+    low = _low_words(n)
     size, full = 1 << n, (1 << n) - 1
     every = (1 << size) - 1
     # (tops, down-set, reversed down-set, cover levels 0..n, next candidate)
-    stack = [(0, 0, 0, (1,) + (0,) * n, 0)]
+    stack = [(0, 0, 0, (1,) * (n + 1), 0)]
     while stack:
         tops, d, r, levels, start = stack.pop()
-        hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
-        # full ^ x for every non-member x; saturated iff each has c < k
-        gaps = every & ~r
-        lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
-        yield d, lo, hi
+        yield (d, *_arity_range(levels, every & ~r, full))
         children = []
         for m in range(start, size):
             # m exceeds every top, so only a top under m makes them comparable
             if down[m] & tops:
                 continue
-            shifts = [(low[i], 1 << i) for i in range(n) if m >> i & 1]
-            grown = [1]
-            for t in range(1, n + 1):
-                spread = levels[t - 1]
-                for lw, b in shifts:
-                    spread |= (spread & lw) << b
-                grown.append(levels[t] | spread)
-            children.append((tops | 1 << m, d | down[m], r | rdown[m], tuple(grown), m + 1))
+            grown = _grow(levels, m, low)
+            children.append((tops | 1 << m, d | down[m], r | rdown[m], grown, m + 1))
         stack.extend(reversed(children))
 
 
@@ -139,20 +160,22 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
     Both halves come from c(T), the fewest members of g whose union
     contains T (inf when none does): g is k-wise intersecting iff k < c(full),
     and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
-    iff k > c(full ^ x) for every non-member x. This form reads c from
-    CoverNumbers and takes any family at any n; the oracle reads the same
-    interval from the cover levels of its down-set walk.
+    iff k > c(full ^ x) for every non-member x. The cover levels 0..n (a
+    cover never needs more than n members) grow from the maximal members
+    alone, as in the oracle's down-set walk, and take any family at any n.
     """
-    n = g.universe.n
-    cover = CoverNumbers(n, n + 1)  # a cover never needs more than n members
-    # a subset has a smaller mask, so largest first inserts only maximal members
-    for x in reversed(g.members):
-        cover.insert(x)
-    c = np.where(cover.c > n, inf, cover.c)
-    gap = np.ones(c.size, dtype=bool)
-    gap[list(g.members)] = False
-    # c[::-1][x] is c[full ^ x]
-    return float(1 + c[::-1][gap].max(initial=0)), float(c[-1])
+    n, full = g.universe.n, g.universe.full
+    low = _low_words(n)
+    levels = (1,) * (n + 1)
+    for x in maximal_elements(g).members:
+        levels = _grow(levels, x, low)
+    # bit full ^ x of the word is set for each member x; gaps are the rest
+    taken = bytearray((g.universe.num_masks + 7) // 8)
+    for p in (full ^ x for x in g.members):
+        taken[p >> 3] |= 1 << (p & 7)
+    gaps = int.from_bytes(taken, "little") ^ ((1 << g.universe.num_masks) - 1)
+    lo, hi = _arity_range(levels, gaps, full)
+    return float(lo), float(hi)
 
 
 def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
@@ -217,18 +240,27 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         raise ValueError(f"unknown candidate order {order!r}")
 
     members: set[SetMask] = set(g0.members)
-    # c[T] >= cap exactly when no k - 1 members cover T, since a cover never
-    # needs more than n members
-    cover = CoverNumbers(u.n, min(k - 1, u.n) + 1)
-    for x in members:
-        cover.insert(x)
-    # cover numbers only fall, so a rejected candidate stays rejected: one pass;
-    # the memoryview sees insert's in-place updates and indexes to plain ints
-    c, cap = memoryview(cover.c), cover.cap
+    # c(T) > k - 1 exactly when T misses level min(k - 1, n), since a cover
+    # never needs more than n members; the levels depend only on the tops
+    low = _low_words(u.n)
+    levels = (1,) * (min(k - 1, u.n) + 1)
+    for x in maximal_elements(g0).members:
+        levels = _grow(levels, x, low)
+    # c only falls, so a rejected candidate stays rejected: one pass. Levels
+    # 1 and k - 1 are read through bytes snapshots, one O(1) index per test,
+    # refreshed after each insert of a mask that no member contains
+    nbytes = (size + 7) // 8
+    one = levels[1].to_bytes(nbytes, "little")
+    top = levels[-1].to_bytes(nbytes, "little")
     for x in cand:
-        if x not in members and c[full ^ x] >= cap:
-            members.add(x)
-            cover.insert(x)
+        t = full ^ x
+        if top[t >> 3] >> (t & 7) & 1 or x in members:
+            continue
+        members.add(x)
+        if not one[x >> 3] >> (x & 7) & 1:
+            levels = _grow(levels, x, low)
+            one = levels[1].to_bytes(nbytes, "little")
+            top = levels[-1].to_bytes(nbytes, "little")
     return Family(u, members)
 
 

@@ -9,8 +9,9 @@ One in-place kernel folds an array over the subset lattice, bit by bit:
 with addition it is the subset-sum (zeta) transform, with subtraction its
 Moebius inverse, with OR or min over supersets the down-closure and the
 superset-min closure. The cover table is built on it.
-CoverNumbers keeps the fewest-members cover number of every mask for a
-family that grows one insertion at a time.
+CoverSearcher finds a cover of one mask by few members through a memoised
+branch-and-bound search; the per-mask cover numbers of a growing family
+live as cover-level words in the search module.
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ class Family:
         self.universe = universe
         self.members = members
         self._index = frozenset(members)
-
-    @property
-    def index(self) -> frozenset[SetMask]:
-        return self._index
 
     def __contains__(self, m: object) -> bool:
         return m in self._index
@@ -258,36 +255,6 @@ def moebius_mod(a: np.ndarray, p: int) -> np.ndarray:
     fold_subsets(a, np.subtract)
     a %= p
     return a
-
-
-class CoverNumbers:
-    """Cover numbers of a growing family over all 2^n masks.
-
-    c[T] is the fewest inserted masks whose union contains T, capped at
-    cap (2 <= cap <= 254): c[0] is 0, and cap stands for "cap or more",
-    which includes "no cover at all".
-    """
-
-    __slots__ = ("n", "cap", "c", "_cube")
-
-    def __init__(self, n: int, cap: int) -> None:
-        if not 2 <= cap <= 254:
-            raise ValueError(f"cover cap must be in 2..254, got {cap}")
-        self.n = n
-        self.cap = cap
-        self.c = np.full(1 << n, cap, dtype=np.uint8)
-        self.c[0] = 0
-        self._cube = self.c.reshape((2,) * n)  # axis n-1-i holds bit i
-
-    def insert(self, x: SetMask) -> None:
-        if self.c[x] <= 1:
-            return  # x lies under an inserted mask and covers nothing new
-        # index 0 along x's axes reads c at T & ~x; a cover never needs x
-        # twice, and masks disjoint from x keep their value
-        under = tuple(
-            slice(0, 1) if x >> (self.n - 1 - a) & 1 else slice(None) for a in range(self.n)
-        )
-        np.minimum(self._cube, self._cube[under] + 1, out=self._cube)
 
 
 class CoverTable:

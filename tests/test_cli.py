@@ -281,6 +281,15 @@ def test_distance_minimize(capsys):
     assert "|" in fields["min_blocks"]
 
 
+@pytest.mark.parametrize("command", ["greedy", "distance"])
+def test_input_family_size_mismatch_exit_1(command, capsys, tmp_path):
+    seed_path = tmp_path / "seed.txt"
+    seed_path.write_text("n=7\n{}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--k", "3", "--n", "8", "--in", str(seed_path))
+    assert (code, out) == (1, "")
+    assert err == "error: input family has n=7, flags say n=8\n"
+
+
 def test_table_formula_matches_construction(capsys):
     code, out, _ = run_cli(capsys, "table", "--k", "3..5", "--n", "4..12")
     assert code == 0

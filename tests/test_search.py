@@ -1,5 +1,6 @@
 import random
 from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -22,11 +23,13 @@ from kwise import (
 from kwise.search import (
     OracleResult,
     _downset_walk,
+    _grow,
+    _low_words,
     _oracle_results,
     _popcount_order,
     maximal_arity_range,
 )
-from kwise.setcore import CoverNumbers, complement_family
+from kwise.setcore import complement_family, maximal_elements
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
@@ -39,6 +42,62 @@ from oracles import (
 def random_family(rng, n, max_members=10):
     size = 1 << n
     return Family(Universe(n), (rng.randrange(size) for _ in range(rng.randint(0, max_members))))
+
+
+# --- cover levels ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_low_words_match_definition(n):
+    want = [sum(1 << p for p in range(1 << n) if not p >> i & 1) for i in range(n)]
+    assert list(_low_words(n)) == want
+
+
+def _literal_cover_numbers(inserted, n, cap):
+    """Fewest inserted masks whose union contains T, capped, by trying
+    every subset of the distinct inserted masks."""
+    out = [cap] * (1 << n)
+    distinct = sorted(set(inserted))
+    for r in range(len(distinct) + 1):
+        for combo in combinations(distinct, r):
+            union = 0
+            for m in combo:
+                union |= m
+            for t in submasks(union):
+                out[t] = min(out[t], r, cap)
+    return out
+
+
+def _levels_of(c, cap):
+    return tuple(sum(1 << p for p, v in enumerate(c) if v <= t) for t in range(cap))
+
+
+def test_cover_levels_match_definition():
+    # levels 0..cap-1 hold exactly the masks of cover number <= t; a repeat
+    # or a mask under an earlier one (0 included) changes no level
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        cap = rng.choice((2, 3, n + 1))
+        low = _low_words(n)
+        levels = (1,) * cap
+        inserted = []
+        assert levels == _levels_of(_literal_cover_numbers(inserted, n, cap), cap)
+        for _ in range(rng.randint(0, 8)):
+            pick = rng.random()
+            if inserted and pick < 0.2:
+                x = rng.choice(inserted)
+            elif inserted and pick < 0.4:
+                x = rng.choice(inserted) & rng.randrange(1 << n)
+            else:
+                x = rng.randrange(1 << n)
+            new = x != 0 and all(x | m != m for m in inserted)
+            grown = _grow(levels, x, low)
+            assert (grown != levels) == new
+            levels = grown
+            inserted.append(x)
+            want = _levels_of(_literal_cover_numbers(inserted, n, cap), cap)
+            assert levels == want, (n, cap, inserted)
 
 
 # --- down-set enumeration ----------------------------------------------------
@@ -72,7 +131,7 @@ def test_downsets_start_in_lex_antichain_order():
 @cache
 def reference_walk(n):
     """(down-set, lo, hi) for every down-set in reference order, with the
-    interval from the per-family CoverNumbers form."""
+    interval from the per-family maximal_arity_range."""
     return [(g, *maximal_arity_range(g)) for g in lex_antichain_downsets(Universe(n))]
 
 
@@ -175,26 +234,20 @@ def test_oracle_matches_reference(n):
     assert _oracle_results(ks, u) == expect
 
 
-def test_oracle_makes_no_per_downset_cover_numbers_or_families(monkeypatch):
-    calls = {"cover": 0, "family": 0}
+def test_oracle_makes_no_per_downset_families(monkeypatch):
+    calls = []
+    original = Family.__init__
 
-    def counting(cls, name, key):
-        original = getattr(cls, name)
+    def counting(self, *args):
+        calls.append(1)
+        original(self, *args)
 
-        def wrapper(self, *args):
-            calls[key] += 1
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counting(CoverNumbers, "__init__", "cover")
-    counting(CoverNumbers, "insert", "cover")
-    counting(Family, "__init__", "family")
+    monkeypatch.setattr(Family, "__init__", counting)
     assert oracle_min_size(3, Universe(5)).f_k_n == 9
     # the achiever and its complement, not one family per down-set
-    assert calls == {"cover": 0, "family": 2}
+    assert len(calls) == 2
     maximal_arity_range(Family(Universe(3), [1, 2]))
-    assert calls["cover"] == 3  # the counters see the per-family form
+    assert len(calls) == 4  # the counter sees the per-family form
 
 
 def test_oracle_validation():
@@ -301,10 +354,17 @@ def _reference_greedy(seed_members, n, k, order_seed, order):
     return members
 
 
+def _greedy_cell(members, n, k, order, order_seed):
+    got = greedy_saturate(Family(Universe(n), members), k, order_seed, order=order)
+    want = _reference_greedy(members, n, k, order_seed, order)
+    assert set(got.members) == want, (k, n, sorted(members), order, order_seed)
+
+
 def test_greedy_matches_reference_greedy():
-    # from the empty family in both orders, then from random down-sets
-    rng = random.Random(3)
-    seeded = 0
+    # from the empty family in both orders, then from random down-sets and
+    # from random k-wise families that are not down-sets
+    rng, unclosed_rng = random.Random(3), random.Random(4)
+    seeded = unclosed = 0
     for k in range(2, 6):
         for n in range(1, 8 if k < 5 else 7):  # the reference is slow at (5, 7)
             runs = [((), "popcount", 0), ((), "random", rng.randrange(1000))]
@@ -315,11 +375,43 @@ def test_greedy_matches_reference_greedy():
                     order = rng.choice(("random", "popcount"))
                     runs.append((members, order, rng.randrange(1000)))
                     seeded += 1
+            for _ in range(4):
+                r = unclosed_rng
+                members = {r.randrange(1 << n) for _ in range(r.randint(1, 5))}
+                if not is_downset(Family(Universe(n), members)) and brute_kwise_ok(
+                    sorted(members), n, k
+                ):
+                    runs.append((members, r.choice(("random", "popcount")), r.randrange(1000)))
+                    unclosed += 1
             for members, order, order_seed in runs:
-                got = greedy_saturate(Family(Universe(n), members), k, order_seed, order=order)
-                want = _reference_greedy(members, n, k, order_seed, order)
-                assert set(got.members) == want, (k, n, sorted(members), order, order_seed)
+                _greedy_cell(members, n, k, order, order_seed)
     assert seeded >= 40
+    assert unclosed >= 30
+
+
+@pytest.mark.parametrize("k", [6, 9])
+def test_greedy_matches_reference_when_k_exceeds_n(k):
+    # k - 1 >= n: the greedy reads level n, where c(T) <= n or c(T) is inf
+    rng = random.Random(k)
+    for n in range(1, 6):
+        for order in ("popcount", "random"):
+            _greedy_cell((), n, k, order, rng.randrange(1000))
+            members = {rng.randrange(1 << n) for _ in range(rng.randint(1, 4))}
+            if brute_kwise_ok(sorted(members), n, k):
+                _greedy_cell(members, n, k, order, rng.randrange(1000))
+
+
+def test_greedy_matches_reference_from_large_seed():
+    # the construction at (4, 9) without two of its tops: 32 members, of
+    # which only the 9 tops left enter the cover levels
+    f = build_family(ConstructionParams(4, 9)).f
+    dropped = set(maximal_elements(f).members[:2])
+    members = set(f.members) - dropped
+    assert len(maximal_elements(Family(f.universe, members))) == 9
+    for order, order_seed in (("popcount", 0), ("random", 5)):
+        _greedy_cell(members, 9, 4, order, order_seed)
+    # a seed that is not a down-set: the same, less the empty set
+    _greedy_cell(members - {0}, 9, 4, "random", 11)
 
 
 # --- cube distance -----------------------------------------------------------

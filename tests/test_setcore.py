@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from kwise import (
 from kwise import setcore
 from kwise.setcore import (
     ALGEBRA_MAX_N,
-    CoverNumbers,
     fold_subsets,
     fold_supersets,
     moebius_mod,
@@ -285,65 +283,6 @@ def test_fold_supersets_closure_and_min():
     sup = fold_supersets(vals.copy(), np.minimum)
     for m in range(1 << 7):
         assert sup[m] == min(int(vals[s]) for s in range(1 << 7) if s & m == m)
-
-
-# --- cover numbers -----------------------------------------------------------
-
-
-def _literal_cover_numbers(inserted, n, cap):
-    """Fewest inserted masks whose union contains T, capped, by trying
-    every subset of the distinct inserted masks."""
-    out = [cap] * (1 << n)
-    distinct = sorted(set(inserted))
-    for r in range(len(distinct) + 1):
-        for combo in combinations(distinct, r):
-            union = 0
-            for m in combo:
-                union |= m
-            for t in submasks(union):
-                out[t] = min(out[t], r, cap)
-    return out
-
-
-def test_cover_numbers_match_definition(monkeypatch):
-    # every insertion of a mask under no earlier one (0 included) is one
-    # in-place update; repeats and masks under earlier ones are none
-    updates = []
-    minimum = np.minimum
-
-    def counting(*args, **kwargs):
-        updates.append(1)
-        return minimum(*args, **kwargs)
-
-    monkeypatch.setattr(np, "minimum", counting)
-    rng = random.Random(17)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        cap = rng.choice((2, 3, n + 1))
-        cover = CoverNumbers(n, cap)
-        inserted = []
-        assert cover.c.tolist() == _literal_cover_numbers(inserted, n, cap)
-        for _ in range(rng.randint(0, 8)):
-            pick = rng.random()
-            if inserted and pick < 0.2:
-                x = rng.choice(inserted)
-            elif inserted and pick < 0.4:
-                x = rng.choice(inserted) & rng.randrange(1 << n)
-            else:
-                x = rng.randrange(1 << n)
-            new = x != 0 and all(x | m != m for m in inserted)
-            before = len(updates)
-            cover.insert(x)
-            inserted.append(x)
-            assert len(updates) - before == new
-            assert cover.c.dtype == np.uint8
-            assert cover.c.tolist() == _literal_cover_numbers(inserted, n, cap), (n, cap, inserted)
-
-
-def test_cover_numbers_cap_validation():
-    for cap in (1, 255):
-        with pytest.raises(ValueError):
-            CoverNumbers(3, cap)
 
 
 # --- cover table -----------------------------------------------------------
