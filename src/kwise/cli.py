@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -47,24 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    k: int | None = None
-    n: int | None = None
-    k_range: tuple[int, int] | None = None
-    n_range: tuple[int, int] | None = None
-    input_path: str | None = None
-    out: str | None = None
-    fmt: str = "tsv"
-    seed: int = 0
-    runs: int = 1
-    backend: str = "auto"  # echoed in the verify output; selects nothing
-    world: str = "complement"
-    order: str = "random"
-    minimize: bool = False
-
-
 def _parse_range(parser: _Parser, text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -79,17 +60,29 @@ def _parse_range(parser: _Parser, text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def _check_block_params(parser: _Parser, ns: argparse.Namespace, subject: str) -> None:
+    """The block construction's own bounds: k >= 3 and n >= 2(k-1)."""
+    if ns.k < 3:
+        parser.error(f"{subject} requires k >= 3, got {ns.k}")
+    if ns.n < 2 * (ns.k - 1):
+        parser.error(f"{subject} requires n >= 2(k-1) = {2 * (ns.k - 1)}, got {ns.n}")
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The parsed flags; ns.handler(ns) runs the chosen subcommand."""
     parser = _Parser(prog="kwise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="emit the block construction family")
+    p_construct.set_defaults(handler=_cmd_construct)
     p_construct.add_argument("--k", type=int, required=True)
     p_construct.add_argument("--n", type=int, required=True)
     p_construct.add_argument("--out", help="write the family file here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="verify a family file for maximality")
-    p_verify.add_argument("family", nargs="?", default="-", help="family file, - for stdin")
+    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.add_argument("input_path", metavar="family", nargs="?", default="-",
+                          help="family file, - for stdin")
     p_verify.add_argument("--k", type=int, required=True)
     p_verify.add_argument("--world", choices=("direct", "complement"), default="complement")
     p_verify.add_argument(
@@ -99,11 +92,13 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     )
 
     p_oracle = sub.add_parser("oracle", help="exhaustive minimum over all maximal families")
+    p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("--k", type=int, required=True)
     p_oracle.add_argument("--n", type=int, required=True)
-    p_oracle.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p_oracle.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     p_greedy = sub.add_parser("greedy", help="seeded greedy saturation runs")
+    p_greedy.set_defaults(handler=_cmd_greedy)
     p_greedy.add_argument("--k", type=int, required=True)
     p_greedy.add_argument("--n", type=int, required=True)
     p_greedy.add_argument("--runs", type=int, default=1)
@@ -111,48 +106,39 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     p_greedy.add_argument("--order", choices=("random", "popcount"), default="random")
     p_greedy.add_argument("--in", dest="input_path", help="start from this family file")
     p_greedy.add_argument("--out", help="directory for the resulting family files")
-    p_greedy.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p_greedy.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     p_distance = sub.add_parser("distance", help="cube distance of a family from its partition")
+    p_distance.set_defaults(handler=_cmd_distance)
     p_distance.add_argument("--k", type=int, required=True)
     p_distance.add_argument("--n", type=int, required=True)
     p_distance.add_argument("--in", dest="input_path", help="family file (construction by default)")
     p_distance.add_argument("--minimize", action="store_true",
                             help="also minimise over all balanced partitions (n <= 8)")
-    p_distance.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p_distance.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     p_table = sub.add_parser("table", help="size table over (k, n) ranges")
+    p_table.set_defaults(handler=_cmd_table)
     p_table.add_argument("--k", required=True, help="INT or LO..HI")
     p_table.add_argument("--n", required=True, help="INT or LO..HI")
     p_table.add_argument("--runs", type=int, default=0, help="greedy seeds per cell (0 skips)")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--order", choices=("random", "popcount"), default="random")
-    p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p_table.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-
     if ns.command == "construct":
-        if ns.k < 3:
-            parser.error(f"construction requires k >= 3, got {ns.k}")
-        if ns.n < 2 * (ns.k - 1):
-            parser.error(f"construction requires n >= 2(k-1) = {2 * (ns.k - 1)}, got {ns.n}")
+        _check_block_params(parser, ns, "construction")
         if ns.n > _CONSTRUCT_MAX_N:
             parser.error(f"construction output capped at n <= {_CONSTRUCT_MAX_N}")
-        cfg.k, cfg.n, cfg.out = ns.k, ns.n, ns.out
     elif ns.command == "verify":
         if ns.k < 2:
             parser.error(f"verification requires k >= 2, got {ns.k}")
-        cfg.k = ns.k
-        cfg.world = ns.world
-        cfg.backend = ns.backend
-        cfg.input_path = ns.family
     elif ns.command == "oracle":
         if ns.k < 2:
             parser.error(f"the oracle requires k >= 2, got {ns.k}")
         if not 1 <= ns.n <= DOWNSET_MAX_N:
             parser.error(f"the exhaustive oracle requires 1 <= n <= {DOWNSET_MAX_N}")
-        cfg.k, cfg.n, cfg.fmt = ns.k, ns.n, ns.format
     elif ns.command == "greedy":
         if ns.k < 2:
             parser.error(f"greedy saturation requires k >= 2, got {ns.k}")
@@ -160,30 +146,22 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             parser.error(f"greedy saturation requires 1 <= n <= {GREEDY_MAX_N}")
         if ns.runs < 1:
             parser.error(f"--runs must be >= 1, got {ns.runs}")
-        cfg.k, cfg.n, cfg.runs, cfg.seed = ns.k, ns.n, ns.runs, ns.seed
-        cfg.order, cfg.input_path, cfg.out, cfg.fmt = ns.order, ns.input_path, ns.out, ns.format
     elif ns.command == "distance":
-        if ns.k < 3:
-            parser.error(f"the cube probe requires k >= 3, got {ns.k}")
-        if ns.n < 2 * (ns.k - 1):
-            parser.error(f"the cube probe requires n >= 2(k-1) = {2 * (ns.k - 1)}, got {ns.n}")
+        _check_block_params(parser, ns, "the cube probe")
         if ns.n > _CONSTRUCT_MAX_N:
             parser.error(f"the cube probe is capped at n <= {_CONSTRUCT_MAX_N}")
         if ns.minimize and ns.n > MINIMIZE_MAX_N:
             parser.error(f"--minimize requires n <= {MINIMIZE_MAX_N}")
-        cfg.k, cfg.n, cfg.minimize = ns.k, ns.n, ns.minimize
-        cfg.input_path, cfg.fmt = ns.input_path, ns.format
     elif ns.command == "table":
-        cfg.k_range = _parse_range(parser, ns.k)
-        cfg.n_range = _parse_range(parser, ns.n)
-        if cfg.k_range[0] < 2:
+        ns.k_range = _parse_range(parser, ns.k)
+        ns.n_range = _parse_range(parser, ns.n)
+        if ns.k_range[0] < 2:
             parser.error("table requires k >= 2")
-        if cfg.n_range[0] < 1 or cfg.n_range[1] > TABLE_MAX_N:
+        if ns.n_range[0] < 1 or ns.n_range[1] > TABLE_MAX_N:
             parser.error(f"table requires 1 <= n <= {TABLE_MAX_N}")
         if ns.runs < 0:
             parser.error(f"--runs must be >= 0, got {ns.runs}")
-        cfg.runs, cfg.seed, cfg.order, cfg.fmt = ns.runs, ns.seed, ns.order, ns.format
-    return cfg
+    return ns
 
 
 def _witness_json(w) -> dict | None:
@@ -192,11 +170,8 @@ def _witness_json(w) -> dict | None:
     if isinstance(w, CoverWitness):
         return {"type": "cover", "masks": [f"0x{m:x}" for m in w.masks]}
     if isinstance(w, GapWitness):
-        return {
-            "type": "gap",
-            "mask": f"0x{w.mask:x}",
-            "completion": None if w.completion is None else [f"0x{m:x}" for m in w.completion],
-        }
+        # schema 1 keeps the completion field, which is always null
+        return {"type": "gap", "mask": f"0x{w.mask:x}", "completion": None}
     raise TypeError(f"unsupported witness type {type(w).__name__}")
 
 
@@ -221,8 +196,8 @@ def _read_input_family(path: str | None, n: int | None = None) -> Family:
     return fam
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    p = ConstructionParams(cfg.k, cfg.n)
+def _cmd_construct(ns: argparse.Namespace) -> int:
+    p = ConstructionParams(ns.k, ns.n)
     built = build_family(p)
     header = {
         "schema": SCHEMA,
@@ -234,23 +209,23 @@ def _cmd_construct(cfg: RunConfig) -> int:
         "expected_size": expected_size(p),
     }
     text = write_family(built.f, header=header)
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+    if ns.out:
+        Path(ns.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    fam = _read_input_family(cfg.input_path)
-    v = is_maximal_kwise(fam, cfg.k, cfg.world)
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    fam = _read_input_family(ns.input_path)
+    v = is_maximal_kwise(fam, ns.k, ns.world)
     payload = {
         "schema": SCHEMA,
         "command": "verify",
-        "k": cfg.k,
+        "k": ns.k,
         "n": fam.universe.n,
-        "world": cfg.world,
-        "backend": cfg.backend,
+        "world": ns.world,
+        "backend": ns.backend,
         "size": len(fam),
         "maximal": v.ok,
         "failure": v.reason,
@@ -263,8 +238,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_NOT_KWISE if v.reason == "not_kwise" else EXIT_NOT_SATURATED
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    res = oracle_min_size(cfg.k, Universe(cfg.n))
+def _cmd_oracle(ns: argparse.Namespace) -> int:
+    res = oracle_min_size(ns.k, Universe(ns.n))
     row = {
         "k": res.k,
         "n": res.n,
@@ -272,105 +247,87 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         "extremal_count": res.extremal_count,
         "sample": ",".join(f"0x{m:x}" for m in res.sample_extremal.members),
     }
-    _emit_rows(cfg.fmt, "oracle", ["k", "n", "f", "extremal_count", "sample"], [row])
+    _emit_rows(ns.fmt, "oracle", ["k", "n", "f", "extremal_count", "sample"], [row])
     return EXIT_OK
 
 
-def _cmd_greedy(cfg: RunConfig) -> int:
-    if cfg.input_path:
-        g0 = _read_input_family(cfg.input_path, cfg.n)
+def _cmd_greedy(ns: argparse.Namespace) -> int:
+    if ns.input_path:
+        g0 = _read_input_family(ns.input_path, ns.n)
     else:
-        g0 = Family(Universe(cfg.n))
-    out_dir = Path(cfg.out) if cfg.out else None
+        g0 = Family(Universe(ns.n))
+    out_dir = Path(ns.out) if ns.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for r in range(cfg.runs):
-        seed = cfg.seed + r
-        fam = greedy_saturate(g0, cfg.k, seed, order=cfg.order)
-        verdict = is_maximal_kwise(fam, cfg.k, "complement")
+    for r in range(ns.runs):
+        seed = ns.seed + r
+        fam = greedy_saturate(g0, ns.k, seed, order=ns.order)
+        verdict = is_maximal_kwise(fam, ns.k, "complement")
         rows.append({
-            "k": cfg.k,
-            "n": cfg.n,
+            "k": ns.k,
+            "n": ns.n,
             "seed": seed,
-            "order": cfg.order,
+            "order": ns.order,
             "size": len(fam),
             "maximal": int(verdict.ok),
         })
         if out_dir:
-            header = {"schema": SCHEMA, "k": cfg.k, "n": cfg.n, "seed": seed,
-                      "order": cfg.order, "size": len(fam)}
-            path = out_dir / f"greedy_k{cfg.k}_n{cfg.n}_seed{seed}.txt"
+            header = {"schema": SCHEMA, "k": ns.k, "n": ns.n, "seed": seed,
+                      "order": ns.order, "size": len(fam)}
+            path = out_dir / f"greedy_k{ns.k}_n{ns.n}_seed{seed}.txt"
             path.write_text(write_family(fam, header=header), encoding="utf-8")
-    _emit_rows(cfg.fmt, "greedy", ["k", "n", "seed", "order", "size", "maximal"], rows)
+    _emit_rows(ns.fmt, "greedy", ["k", "n", "seed", "order", "size", "maximal"], rows)
     return EXIT_OK
 
 
-def _cmd_distance(cfg: RunConfig) -> int:
-    p = ConstructionParams(cfg.k, cfg.n)
+def _cmd_distance(ns: argparse.Namespace) -> int:
+    p = ConstructionParams(ns.k, ns.n)
     built = build_family(p)
-    fam = _read_input_family(cfg.input_path, cfg.n) if cfg.input_path else built.f
+    fam = _read_input_family(ns.input_path, ns.n) if ns.input_path else built.f
     rep = cube_distance(fam, built.partition)
     row = {
-        "k": cfg.k,
-        "n": cfg.n,
+        "k": ns.k,
+        "n": ns.n,
         "block_sizes": ",".join(map(str, built.partition.block_sizes())),
         "q_size": rep.q_size,
         "distance": rep.distance,
         "size": len(fam),
     }
     columns = ["k", "n", "block_sizes", "q_size", "distance", "size"]
-    if cfg.minimize:
+    if ns.minimize:
         best = minimize_cube_distance(fam, p.num_blocks)
         row["min_distance"] = best.distance
         row["min_blocks"] = "|".join(
             ",".join(map(str, elements_of(b))) for b in best.partition.blocks
         )
         columns += ["min_distance", "min_blocks"]
-    _emit_rows(cfg.fmt, "distance", columns, [row])
+    _emit_rows(ns.fmt, "distance", columns, [row])
     return EXIT_OK
 
 
-def _cmd_table(cfg: RunConfig) -> int:
+def _cmd_table(ns: argparse.Namespace) -> int:
     rows = size_table(
-        range(cfg.k_range[0], cfg.k_range[1] + 1),
-        range(cfg.n_range[0], cfg.n_range[1] + 1),
-        runs=cfg.runs,
-        base_seed=cfg.seed,
-        order=cfg.order,
+        range(ns.k_range[0], ns.k_range[1] + 1),
+        range(ns.n_range[0], ns.n_range[1] + 1),
+        runs=ns.runs,
+        base_seed=ns.seed,
+        order=ns.order,
     )
-    _emit_rows(cfg.fmt, "table", ["k", "n", "size", "formula", "oracle", "greedy_min"], rows)
+    _emit_rows(ns.fmt, "table", ["k", "n", "size", "formula", "oracle", "greedy_min"], rows)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "oracle": _cmd_oracle,
-    "greedy": _cmd_greedy,
-    "distance": _cmd_distance,
-    "table": _cmd_table,
-}
-
-
-def run(config: RunConfig) -> int:
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown subcommand {config.command!r}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        return handler(config)
-    except (ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        config = parse_args(sys.argv[1:] if argv is None else list(argv))
+        ns = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    return run(config)
+    try:
+        return ns.handler(ns)
+    except (ValueError, IndexError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -42,16 +42,10 @@ class CoverWitness:
 
 @dataclass(frozen=True)
 class GapWitness:
-    """A non-member mask pinning down saturation at one point.
-
-    completion=None certifies that no <= k-1 members complete the mask to
-    the full set, so the mask could be added and the family was not
-    maximal. A non-None completion lists members whose union with the mask
-    is the full set, certifying saturation at that mask.
-    """
+    """A non-member mask that no <= k-1 members complete to the full set,
+    so it could be added and the family was not maximal."""
 
     mask: SetMask
-    completion: tuple[SetMask, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,8 @@ def is_maximal_kwise(f: Family, k: int, world: str = "direct") -> Verdict:
 
 
 def verify_witness(v: Verdict, g: Family, k: int) -> bool:
-    """Recheck a verdict's witness by direct mask arithmetic (no-completion
-    certificates are reconfirmed by an exhaustive independent search)."""
+    """Recheck a verdict's witness by direct mask arithmetic (gap masks are
+    reconfirmed by an exhaustive independent search)."""
     w = v.witness
     if w is None:
         raise ValueError("verdict carries no witness")
@@ -167,15 +161,5 @@ def verify_witness(v: Verdict, g: Family, k: int) -> bool:
         u.check_mask(w.mask)
         if w.mask in g:
             return False
-        if w.completion is not None:
-            if len(w.completion) > k - 1:
-                return False
-            union = w.mask
-            for m in w.completion:
-                u.check_mask(m)
-                if m not in g:
-                    return False
-                union |= m
-            return union == full
         return _searcher(g).find(full & ~w.mask, k - 1) is None
     raise TypeError(f"unsupported witness type {type(w).__name__}")

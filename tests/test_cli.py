@@ -54,25 +54,58 @@ def test_parse_table_ranges():
     assert cfg2.k_range == (3, 3) and cfg2.n_range == (6, 6)
 
 
+# argv and the last stderr line it gives; new cases go at the end so the
+# argvN test ids stay put
+USAGE_ERRORS = [
+    (["construct", "--k", "2", "--n", "8"], "kwise: error: construction requires k >= 3, got 2"),
+    (["construct", "--k", "4", "--n", "5"],
+     "kwise: error: construction requires n >= 2(k-1) = 6, got 5"),
+    (["construct", "--k", "3"],
+     "kwise construct: error: the following arguments are required: --n"),
+    (["verify", "--k", "1"], "kwise: error: verification requires k >= 2, got 1"),
+    (["oracle", "--k", "2", "--n", "6"],
+     "kwise: error: the exhaustive oracle requires 1 <= n <= 5"),
+    (["greedy", "--k", "3", "--n", "30"], "kwise: error: greedy saturation requires 1 <= n <= 20"),
+    (["table", "--k", "5..3", "--n", "4"], "kwise: error: empty range '5..3'"),
+    (["table", "--k", "x", "--n", "4"], "kwise: error: bad range 'x', expected INT or LO..HI"),
+    (["distance", "--k", "4", "--n", "9", "--minimize"],
+     "kwise: error: --minimize requires n <= 8"),
+    (["nonsense"], "kwise: error: argument command: invalid choice: 'nonsense'"),
+    (["verify", "--k", "2", "--frobnicate"], "kwise: error: unrecognized arguments: --frobnicate"),
+    (["verify", "--k", "3", "--backend", "bogus"],
+     "kwise verify: error: argument --backend: invalid choice: 'bogus'"),
+    (["construct", "--k", "3", "--n", "31"], "kwise: error: construction output capped at n <= 30"),
+    (["greedy", "--k", "3", "--n", "8", "--runs", "0"], "kwise: error: --runs must be >= 1, got 0"),
+    (["table", "--k", "2", "--n", "25"], "kwise: error: table requires 1 <= n <= 24"),
+    (["table", "--k", "1", "--n", "3"], "kwise: error: table requires k >= 2"),
+    (["distance", "--k", "2", "--n", "9"], "kwise: error: the cube probe requires k >= 3, got 2"),
+    (["distance", "--k", "4", "--n", "5"],
+     "kwise: error: the cube probe requires n >= 2(k-1) = 6, got 5"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["construct", "--k", "2", "--n", "8"],  # k too small
-        ["construct", "--k", "4", "--n", "5"],  # n below 2(k-1)
-        ["construct", "--k", "3"],  # missing n
-        ["verify", "--k", "1"],
-        ["oracle", "--k", "2", "--n", "6"],
-        ["greedy", "--k", "3", "--n", "30"],
-        ["table", "--k", "5..3", "--n", "4"],
-        ["table", "--k", "x", "--n", "4"],
-        ["distance", "--k", "4", "--n", "9", "--minimize"],
-        ["nonsense"],
-        ["verify", "--k", "2", "--frobnicate"],
-        ["verify", "--k", "3", "--backend", "bogus"],
-    ],
+    ("argv", "last_line"), USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))]
 )
-def test_usage_errors_exit_1(argv, capsys):
-    assert main(argv) == 1
+def test_usage_errors_exit_1(argv, last_line, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    last = err.splitlines()[-1]
+    if "invalid choice" in last_line:
+        # how argparse lists the choices after the value varies by Python version
+        assert last.startswith(last_line + " "), last
+    else:
+        assert last == last_line
+
+
+SUBCOMMANDS = ("construct", "verify", "oracle", "greedy", "distance", "table")
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)])
+def test_help_exits_0(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: kwise")
 
 
 # --- construct ---------------------------------------------------------------

@@ -381,15 +381,11 @@ def test_verify_witness_cover_direct_arithmetic():
     assert not verify_witness(short, g, 2)
 
 
-def test_verify_witness_gap_with_completion():
+def test_verify_witness_gap_member_fails():
     u = Universe(4)
     g = Family(u, [0b0011, 0b1100])
-    w = Verdict(False, GapWitness(0b0011, (0b1100, 0b0011)), "not_saturated")
+    w = Verdict(False, GapWitness(0b0011), "not_saturated")
     assert not verify_witness(w, g, 3)  # the gap mask must not be a member
-    w2 = Verdict(False, GapWitness(0b0101, (0b1100, 0b0011)), "not_saturated")
-    assert verify_witness(w2, g, 3)
-    incomplete = Verdict(False, GapWitness(0b0101, (0b0011,)), "not_saturated")
-    assert not verify_witness(incomplete, g, 3)
 
 
 def test_verify_witness_detects_corruption():
