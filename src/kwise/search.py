@@ -20,13 +20,14 @@ from itertools import combinations
 from math import inf
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .construction import BlockPartition, ConstructionParams, build_family, expected_size
 from .setcore import (
     Family,
     SetMask,
     Universe,
+    _low_words,
+    _member_word,
+    _word_bits,
     complement_family,
     maximal_elements,
 )
@@ -71,19 +72,6 @@ def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(down), tuple(rdown)
 
 
-@lru_cache(maxsize=None)
-def _low_words(n: int) -> tuple[int, ...]:
-    """LOW[i]: the word of the masks lacking bit i, 2^i ones then 2^i zeros
-    repeated, built by doubling one block."""
-    low = []
-    for i in range(n):
-        x, length = (1 << (1 << i)) - 1, 2 << i
-        while length < 1 << n:
-            x, length = x | x << length, length << 1
-        low.append(x)
-    return tuple(low)
-
-
 def _grow(levels: Sequence[int], x: SetMask, low: Sequence[int]) -> tuple[int, ...]:
     """Cover levels after adding mask x. Level t holds the masks T with
     c(T) <= t, c(T) being the fewest members whose union contains T, so
@@ -117,7 +105,7 @@ def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
     levels 0..n by _grow.
     """
     down, rdown = _word_tables(n)
-    low = _low_words(n)
+    low = tuple(_low_words(n))
     size, full = 1 << n, (1 << n) - 1
     every = (1 << size) - 1
     # (tops, down-set, reversed down-set, cover levels 0..n, next candidate)
@@ -149,7 +137,7 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
 
 
 def _family_of_word(u: Universe, d: int) -> Family:
-    return Family(u, [p for p in range(u.num_masks) if d >> p & 1])
+    return Family(u, _word_bits(d))
 
 
 def maximal_arity_range(g: Family) -> tuple[float, float]:
@@ -162,18 +150,17 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
     and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
     iff k > c(full ^ x) for every non-member x. The cover levels 0..n (a
     cover never needs more than n members) grow from the maximal members
-    alone, as in the oracle's down-set walk, and take any family at any n.
+    alone, as in the oracle's down-set walk. The words have 2^n bits, so n
+    must be at most TABLE_MAX_N.
     """
+    g.universe.require_table()
     n, full = g.universe.n, g.universe.full
-    low = _low_words(n)
+    low = tuple(_low_words(n))
     levels = (1,) * (n + 1)
     for x in maximal_elements(g).members:
         levels = _grow(levels, x, low)
     # bit full ^ x of the word is set for each member x; gaps are the rest
-    taken = bytearray((g.universe.num_masks + 7) // 8)
-    for p in (full ^ x for x in g.members):
-        taken[p >> 3] |= 1 << (p & 7)
-    gaps = int.from_bytes(taken, "little") ^ ((1 << g.universe.num_masks) - 1)
+    gaps = _member_word((full ^ x for x in g.members), n) ^ ((1 << g.universe.num_masks) - 1)
     lo, hi = _arity_range(levels, gaps, full)
     return float(lo), float(hi)
 
@@ -235,14 +222,14 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         cand = list(range(size))
         random.Random(order_seed).shuffle(cand)
     elif order == "popcount":
-        cand = _popcount_order(u.n).tolist()
+        cand = _popcount_order(u.n)
     else:
         raise ValueError(f"unknown candidate order {order!r}")
 
     members: set[SetMask] = set(g0.members)
     # c(T) > k - 1 exactly when T misses level min(k - 1, n), since a cover
     # never needs more than n members; the levels depend only on the tops
-    low = _low_words(u.n)
+    low = tuple(_low_words(u.n))
     levels = (1,) * (min(k - 1, u.n) + 1)
     for x in maximal_elements(g0).members:
         levels = _grow(levels, x, low)
@@ -264,12 +251,11 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     return Family(u, members)
 
 
-def _popcount_order(n: int) -> np.ndarray:
-    """All 2^n masks, larger popcount first, ties by ascending mask value."""
-    pc = np.zeros(1 << n, dtype=np.int8)
-    for i in range(n):
-        pc.reshape(-1, 2, 1 << i)[:, 1, :] += 1
-    return np.argsort(-pc, kind="stable")
+def _popcount_order(n: int) -> list[SetMask]:
+    """All 2^n masks, larger popcount first, ties by ascending mask value:
+    Python's sort is stable under reverse=True, so equal popcounts keep the
+    ascending order of range."""
+    return sorted(range(1 << n), key=int.bit_count, reverse=True)
 
 
 def cube_distance(f: Family, bp: BlockPartition) -> CubeReport:

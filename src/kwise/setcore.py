@@ -2,32 +2,34 @@
 
 A set over the ground set {1, .., n} is an n-bit mask with element i stored
 in bit i - 1. Families are immutable, deduplicated, sorted mask collections.
-The down-set test and the maximal elements are numpy passes over the sorted
-member array, one per bit or per popcount level, with no 2^n table, so
-they hold for every n <= 62.
-One in-place kernel folds an array over the subset lattice, bit by bit:
-with addition it is the subset-sum (zeta) transform, with subtraction its
-Moebius inverse, with OR or min over supersets the down-closure and the
-superset-min closure. The cover table is built on it.
+The down-set test and the maximal elements are loops over the members and
+their frozenset index, with no 2^n table, so they hold for every n <= 62.
+Whole-lattice passes work on Python-int words over the 2^n masks, bit p
+standing for mask p: _member_word packs masks into a word, _word_bits
+unpacks one, and _low_words gives LOW_i, the masks lacking bit i, so that
+(word & LOW_i) << 2^i moves each such mask x to x | 2^i.
 CoverSearcher finds a cover of one mask by few members through a memoised
 branch-and-bound search; the per-mask cover numbers of a growing family
 live as cover-level words in the search module.
+The legacy CoverTable (zeta transform, pointwise powers, Moebius inversion
+over two primes, built on one in-place numpy fold over the lattice) has no
+caller in the package; it imports numpy inside its functions, so importing
+the package does not load numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import re
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SetMask = int
 
 ALGEBRA_MAX_N = 62
 TABLE_MAX_N = 24
 COVER_MAX_J = 8
-# candidate x top pairs in one containment temporary of maximal_elements:
-# 8 MiB of int64
-_CONTAIN_CHUNK = 1 << 20
 
 _NONE = 255
 # Tuple counts in the transform domain can exceed 64 bits, so they are
@@ -152,16 +154,18 @@ def is_downset(f: Family) -> bool:
     """True iff every subset of every member is a member.
 
     Removing any single element of a member must land in the family; by
-    induction this is equivalent to full downward closure. One pass per
-    bit looks the one-bit-smaller children up in the sorted member array,
-    so no 2^n table is needed and every n <= 62 is allowed.
+    induction this is equivalent to full downward closure. Each member looks
+    its one-bit-smaller children up in the frozenset index, so no 2^n table
+    is needed and every n <= 62 is allowed.
     """
-    a = _member_array(f)
-    for i in range(f.universe.n):
-        children = a[a >> i & 1 == 1] ^ (1 << i)
-        # a child is smaller than its parent, so its insertion point is in range
-        if not np.array_equal(a[np.searchsorted(a, children)], children):
-            return False
+    index = f._index
+    for m in f.members:
+        rest = m
+        while rest:
+            bit = rest & -rest
+            if m ^ bit not in index:
+                return False
+            rest ^= bit
     return True
 
 
@@ -185,41 +189,63 @@ def downset_closure(f: Family) -> Family:
 def maximal_elements(f: Family) -> Family:
     """Members not strictly contained in another member (an antichain).
 
-    Levels are taken from the largest popcount down. A member is dropped iff
-    a top found on a higher level contains it, so the result is exact for
-    any family, down-set or not; each containment test holds at most
-    _CONTAIN_CHUNK elements.
+    A member with a one-bit-larger member is not maximal. The others are
+    taken level by level from the largest popcount down, and each is kept
+    unless a top kept on a higher level contains it, so the result is exact
+    for any family, down-set or not, at any n <= 62.
     """
-    a = _member_array(f)
-    pc = np.zeros(a.size, dtype=np.int8)
-    for i in range(f.universe.n):
-        pc += (a >> i & 1).astype(np.int8)
-    tops = a[:0]
-    for level in np.flatnonzero(np.bincount(pc))[::-1]:
-        cand = a[pc == level]
-        if tops.size:
-            cand = cand[~_contained(cand, tops)]
-        tops = np.concatenate((tops, cand))
-    return Family(f.universe, tops.tolist())
+    index, full = f._index, f.universe.full
+    levels: dict[int, list[SetMask]] = {}
+    for m in f.members:
+        rest = full ^ m
+        while rest:
+            bit = rest & -rest
+            if m | bit in index:
+                break
+            rest ^= bit
+        else:
+            levels.setdefault(m.bit_count(), []).append(m)
+    tops: list[SetMask] = []
+    for level in sorted(levels, reverse=True):
+        kept = []
+        for m in levels[level]:
+            for t in tops:
+                if m | t == t:
+                    break
+            else:
+                kept.append(m)
+        tops += kept
+    return Family(f.universe, tops)
 
 
-def _member_array(f: Family) -> np.ndarray:
-    """The members as an ascending int64 array."""
-    return np.fromiter(f.members, dtype=np.int64, count=len(f.members))
+def _low_words(n: int) -> Iterator[int]:
+    """LOW[i] for i = 0 .. n - 1: the word of the masks lacking bit i, 2^i
+    ones then 2^i zeros repeated, built by doubling one block. Words are
+    2^n bits long, so they are yielded one at a time."""
+    for i in range(n):
+        x, length = (1 << (1 << i)) - 1, 2 << i
+        while length < 1 << n:
+            x, length = x | x << length, length << 1
+        yield x
 
 
-def _contained(cand: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """For each candidate, whether some top is a superset of it, from
-    candidate x top blocks of at most _CONTAIN_CHUNK elements."""
-    out = np.zeros(cand.size, dtype=bool)
-    cols = min(tops.size, _CONTAIN_CHUNK)
-    rows = _CONTAIN_CHUNK // cols
-    outside = ~tops
-    for r in range(0, cand.size, rows):
-        block = cand[r : r + rows, None]
-        for t in range(0, tops.size, cols):
-            hit = (block & outside[None, t : t + cols]) == 0
-            out[r : r + rows] |= hit.any(axis=1)
+def _member_word(masks: Iterable[SetMask], n: int) -> int:
+    """The word over the 2^n masks with bit p set for each p in masks."""
+    taken = bytearray(((1 << n) + 7) // 8)
+    for p in masks:
+        taken[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(taken, "little")
+
+
+def _word_bits(word: int) -> list[SetMask]:
+    """Ascending set-bit positions of a nonnegative word; runs of zero bytes
+    are skipped at C speed, so a sparse 2^n-bit word costs one scan."""
+    data = word.to_bytes((word.bit_length() + 7) // 8, "little")
+    out = []
+    for run in re.finditer(rb"[^\x00]+", data):
+        for i in range(run.start(), run.end()):
+            byte = data[i]
+            out += [i << 3 | b for b in range(8) if byte >> b & 1]
     return out
 
 
@@ -252,6 +278,8 @@ def moebius_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Moebius inversion of values in [0, 2^31), reduced mod p once at the
     end. The n plain subtractions move a value by at most 2^n * 2^31 <= 2^55
     for n <= 24, so the int64 intermediates cannot overflow."""
+    import numpy as np
+
     fold_subsets(a, np.subtract)
     a %= p
     return a
@@ -287,6 +315,8 @@ class CoverTable:
     def sup(self) -> np.ndarray:
         """Superset-min closure: sup[m] = min(min_cover[m'] for m' >= m)."""
         if self._sup is None:
+            import numpy as np
+
             self._sup = fold_supersets(self.min_cover.copy(), np.minimum)
         return self._sup
 
@@ -302,17 +332,21 @@ class CoverTable:
 
 def build_cover_table(f: Family, j_max: int) -> CoverTable:
     """Cover table of a nonempty family; requires n <= 24 and j_max <= 8."""
+    import numpy as np
+
     u = f.universe
     u.require_table()
     if not f.members:
         raise ValueError("cover table requires a nonempty family")
     ind = np.zeros(u.num_masks, dtype=np.int64)
-    ind[_member_array(f)] = 1
+    ind[list(f.members)] = 1
     return cover_table_from_indicator(ind, u, j_max)
 
 
 def cover_table_from_indicator(ind: np.ndarray, u: Universe, j_max: int) -> CoverTable:
     """Cover table from a 0/1 indicator over all 2^n masks (may be empty)."""
+    import numpy as np
+
     u.require_table()
     if ind.shape != (u.num_masks,):
         raise ValueError("indicator length must be 2^n")

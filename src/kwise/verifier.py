@@ -19,16 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .setcore import (
-    _member_array,
     CoverSearcher,
     Family,
     SetMask,
+    _low_words,
+    _member_word,
+    _word_bits,
     build_cover_table,  # noqa: F401  bench/tracer.py patches this binding
     complement_family,
-    is_downset,
     maximal_elements,
 )
 
@@ -81,17 +80,24 @@ def _kwise(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
     return Verdict(False, CoverWitness(found), reason="not_kwise")
 
 
-def _border(g: Family) -> np.ndarray:
-    """Ascending non-members x such that x ^ b is a member for every bit b
-    of x: the minimal non-members, including 0 when 0 is not a member."""
-    member = np.zeros(g.universe.num_masks, dtype=bool)
-    member[_member_array(g)] = True
-    border = ~member
-    for i in range(g.universe.n):
-        b = border.reshape(-1, 2, 1 << i)
-        m = member.reshape(-1, 2, 1 << i)
-        np.logical_and(b[:, 1, :], m[:, 0, :], out=b[:, 1, :])
-    return np.flatnonzero(border)
+def _border(g: Family) -> tuple[list[SetMask], bool]:
+    """The border and whether g is a down-set, from one pass over the
+    member word (bit p set for each member p).
+
+    Per bit i, the word LOW_i | member << 2^i holds the masks x that lack
+    bit i or whose x ^ 2^i is a member; their intersection over i holds the
+    masks all of whose one-bit-smaller subsets are members. g is a down-set
+    iff every member is in it, and the border is its non-members, listed in
+    ascending order: the minimal non-members, 0 included when 0 is not a
+    member. The words have 2^n bits, so n must be at most TABLE_MAX_N.
+    """
+    g.universe.require_table()
+    n = g.universe.n
+    member = _member_word(g.members, n)
+    closed = (1 << g.universe.num_masks) - 1
+    for i, low in enumerate(_low_words(n)):
+        closed &= low | member << (1 << i)
+    return _word_bits(closed & ~member), (closed & member) == member
 
 
 def check_saturated(g: Family, k: int) -> Verdict:
@@ -103,15 +109,14 @@ def check_saturated(g: Family, k: int) -> Verdict:
     the k-wise property.
     """
     _require_k(k)
-    return _saturated(g, k, _searcher(g))
+    return _saturated(g, k, _searcher(g), _border(g)[0])
 
 
-def _saturated(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
+def _saturated(g: Family, k: int, searcher: CoverSearcher, border: list[SetMask]) -> Verdict:
     u = g.universe
-    u.require_table()
     # a cover never needs more than n members, so larger budgets decide alike
     j = min(k - 1, u.n)
-    for x in map(int, _border(g)):
+    for x in border:
         if searcher.find(u.full ^ x, j) is None:
             return Verdict(False, GapWitness(x), reason="not_saturated")
     return Verdict(True)
@@ -128,14 +133,13 @@ def is_maximal_kwise(f: Family, k: int, world: str = "direct") -> Verdict:
     if world not in ("direct", "complement"):
         raise ValueError(f"world must be 'direct' or 'complement', got {world!r}")
     g = complement_family(f) if world == "direct" else f
-    g.universe.require_table()
-    downset = is_downset(g)
+    border, downset = _border(g)
     # one searcher serves both checks; the k-wise query runs on it first
     searcher = _searcher(g)
     kw = _kwise(g, k, searcher)
     if not kw.ok:
         return Verdict(False, kw.witness, "not_kwise", downset)
-    sat = _saturated(g, k, searcher)
+    sat = _saturated(g, k, searcher, border)
     return Verdict(sat.ok, sat.witness, sat.reason, downset)
 
 

@@ -368,3 +368,61 @@ def test_shell_pipeline_construct_verify():
     )
     assert verify.returncode == 0, verify.stderr
     assert json.loads(verify.stdout)["maximal"] is True
+
+
+# --- numpy stays off the command line path -------------------------------------
+
+# Runs `kwise ARGV` through cli.main; with "block" first, every import of
+# numpy raises ImportError. The last stderr line says whether numpy was
+# loaded.
+_RUN_WITHOUT_NUMPY = """\
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from kwise.cli import main
+code = main(sys.argv[2:])
+sys.stdout.flush()
+print("numpy loaded:", sys.modules.get("numpy") is not None, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _construct_3_8(edit):
+    lines = subprocess.run(
+        [sys.executable, "-m", "kwise", "construct", "--k", "3", "--n", "8"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), check=True,
+    ).stdout.splitlines(keepends=True)
+    return "".join(edit(lines))
+
+
+# (id, argv, stdin edit of the (3, 8) construction or None, exit code)
+NO_NUMPY_CASES = [
+    ("help", ["--help"], None, 0),
+    ("construct", ["construct", "--k", "3", "--n", "8"], None, 0),
+    ("verify-maximal", ["verify", "--k", "3"], lambda ls: ls, 0),
+    ("verify-not-kwise", ["verify", "--k", "3"], lambda ls: ls + ["1,2,3,4,5,6,7,8\n"], 2),
+    ("verify-not-downset", ["verify", "--k", "3"], lambda ls: ls[:2] + ls[3:], 3),
+    ("oracle", ["oracle", "--k", "3", "--n", "5"], None, 0),
+    ("greedy-random", ["greedy", "--k", "3", "--n", "10", "--runs", "2"], None, 0),
+    ("greedy-popcount", ["greedy", "--k", "4", "--n", "10", "--order", "popcount"], None, 0),
+    ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0),
+    ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0),
+]
+
+
+@pytest.mark.parametrize(("argv", "edit", "code"), [c[1:] for c in NO_NUMPY_CASES],
+                         ids=[c[0] for c in NO_NUMPY_CASES])
+def test_cli_runs_without_numpy(argv, edit, code):
+    stdin = None if edit is None else _construct_3_8(edit)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    runs = {
+        mode: subprocess.run(
+            [sys.executable, "-c", _RUN_WITHOUT_NUMPY, mode, *argv],
+            input=stdin, capture_output=True, text=True, env=env,
+        )
+        for mode in ("block", "plain")
+    }
+    for run in runs.values():
+        assert run.returncode == code, run.stderr
+        assert run.stderr.splitlines()[-1] == "numpy loaded: False"
+    assert runs["block"].stdout == runs["plain"].stdout != ""

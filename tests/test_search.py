@@ -24,12 +24,11 @@ from kwise.search import (
     OracleResult,
     _downset_walk,
     _grow,
-    _low_words,
     _oracle_results,
     _popcount_order,
     maximal_arity_range,
 )
-from kwise.setcore import complement_family, maximal_elements
+from kwise.setcore import _low_words, complement_family, maximal_elements
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
@@ -79,7 +78,7 @@ def test_cover_levels_match_definition():
     for _ in range(300):
         n = rng.randint(1, 6)
         cap = rng.choice((2, 3, n + 1))
-        low = _low_words(n)
+        low = tuple(_low_words(n))
         levels = (1,) * cap
         inserted = []
         assert levels == _levels_of(_literal_cover_numbers(inserted, n, cap), cap)
@@ -212,6 +211,12 @@ def test_maximal_arity_range_matches_verifier_n5_sample():
             assert is_maximal_kwise(g, k, "complement").ok == (lo <= k < hi)
 
 
+def test_maximal_arity_range_rejects_large_universe():
+    # its words have 2^n bits, so past the table limit it must refuse at once
+    with pytest.raises(ValueError, match="2\\^n table limit"):
+        maximal_arity_range(Family(Universe(25), [1]))
+
+
 def test_oracle_one_pass_for_many_ks_matches_single_k():
     # a repeated arity must not count its achievers twice
     u = Universe(4)
@@ -301,7 +306,7 @@ def test_greedy_popcount_order():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_popcount_order_is_larger_sets_first_then_ascending(n):
     want = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
-    assert _popcount_order(n).tolist() == want
+    assert _popcount_order(n) == want
 
 
 def test_greedy_rejects_bad_seed_family():

@@ -19,7 +19,6 @@ from kwise import (
     maximal_elements,
     submasks,
 )
-from kwise import setcore
 from kwise.setcore import (
     ALGEBRA_MAX_N,
     fold_subsets,
@@ -223,19 +222,50 @@ def test_maximal_elements_matches_definition(f):
     assert list(maximal_elements(f).members) == naive_maximal_elements(f.members)
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 1000])
-@pytest.mark.parametrize("shape", ["closure", "not-downset"])
-def test_maximal_elements_across_containment_chunks(monkeypatch, chunk, shape):
+@pytest.mark.parametrize(
+    ("shape", "size"),
+    [("closure", 252), ("not-downset", 252 - 21 + 1), ("two-levels", 7 + 120 - 35)],
+    ids=["closure", "not-downset", "two-levels"],
+)
+def test_maximal_elements_across_popcount_levels(shape, size):
     u = Universe(10)
-    layer = [m for m in range(1 << 10) if m.bit_count() == 5]
-    members = set(downset_closure(Family(u, layer)).members)
+    if shape == "two-levels":
+        # the 6-sets of {1..7} over the 3-sets of [10], with no member between:
+        # the 35 triples inside {1..7} are candidates but not maximal
+        members = {m for m in range(1 << 10) if m.bit_count() == 3}
+        members |= {m for m in range(1 << 7) if m.bit_count() == 6}
+    else:
+        layer = [m for m in range(1 << 10) if m.bit_count() == 5]
+        members = set(downset_closure(Family(u, layer)).members)
     if shape == "not-downset":
         # drop the empty set and the pairs, and add a 7-set over 21 of the tops
         members -= {m for m in members if m.bit_count() in (0, 2)}
         members.add(0b1111111)
     f = Family(u, members)
-    monkeypatch.setattr(setcore, "_CONTAIN_CHUNK", chunk)
     tops = maximal_elements(f)
+    assert list(tops.members) == naive_maximal_elements(f.members)
+    assert len(tops) == size
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 1000])
+@pytest.mark.parametrize("shape", ["closure", "not-downset"])
+def test_maximal_elements_across_containment_chunks(chunk, shape):
+    # the tops of a union are the tops of the union of each part's tops:
+    # split f into runs of `chunk` members and merge their tops
+    u = Universe(10)
+    layer = [m for m in range(1 << 10) if m.bit_count() == 5]
+    members = set(downset_closure(Family(u, layer)).members)
+    if shape == "not-downset":
+        members -= {m for m in members if m.bit_count() in (0, 2)}
+        members.add(0b1111111)
+    f = Family(u, members)
+    tops = maximal_elements(f)
+    parts = [
+        maximal_elements(Family(u, f.members[i : i + chunk]))
+        for i in range(0, len(f), chunk)
+    ]
+    merged = Family(u, [m for p in parts for m in p.members])
+    assert maximal_elements(merged) == tops
     assert list(tops.members) == naive_maximal_elements(f.members)
     assert len(tops) == (252 if shape == "closure" else 252 - 21 + 1)
 

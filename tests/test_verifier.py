@@ -159,10 +159,12 @@ def test_border_matches_definition():
             f = random_family(rng, n, max_members=3 * n)
             cases += [f, downset_closure(f)]
     for g in cases:
-        border = verifier._border(g)
-        assert border.tolist() == _border_by_definition(g.members, g.universe.n), g
-    assert verifier._border(Family(Universe(5))).tolist() == [0]
-    assert verifier._border(Family(Universe(5), range(32))).size == 0
+        border, downset = verifier._border(g)
+        assert border == _border_by_definition(g.members, g.universe.n), g
+        assert downset == is_downset(g), g
+    assert verifier._border(Family(Universe(5))) == ([0], True)
+    assert verifier._border(Family(Universe(5), range(32))) == ([], True)
+    assert verifier._border(Family(Universe(5), [1, 3])) == ([0], False)
 
 
 def test_saturation_budget_capped_at_n(monkeypatch):
