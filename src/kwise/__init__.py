@@ -35,7 +35,6 @@ from .setcore import (
     SetMask,
     Universe,
     build_cover_table,
-    can_cover,
     complement_family,
     cover_table_from_indicator,
     downset_closure,
@@ -76,7 +75,6 @@ __all__ = [
     "build_f1",
     "build_f2",
     "build_family",
-    "can_cover",
     "check_kwise",
     "check_saturated",
     "complement_family",

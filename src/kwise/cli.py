@@ -175,10 +175,12 @@ def _witness_json(w) -> dict | None:
     raise TypeError(f"unsupported witness type {type(w).__name__}")
 
 
-def _emit_rows(fmt: str, command: str, columns: list[str], rows: list[dict]) -> None:
+def _emit_rows(fmt: str, command: str, rows: list[dict]) -> None:
+    """Rows as JSON or as TSV, whose columns are the first row's keys."""
     if fmt == "json":
         print(json.dumps({"schema": SCHEMA, "command": command, "rows": rows}, sort_keys=True))
         return
+    columns = list(rows[0])
     print("\t".join(columns))
     for r in rows:
         print("\t".join("" if r[c] is None else str(r[c]) for c in columns))
@@ -247,7 +249,7 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
         "extremal_count": res.extremal_count,
         "sample": ",".join(f"0x{m:x}" for m in res.sample_extremal.members),
     }
-    _emit_rows(ns.fmt, "oracle", ["k", "n", "f", "extremal_count", "sample"], [row])
+    _emit_rows(ns.fmt, "oracle", [row])
     return EXIT_OK
 
 
@@ -277,7 +279,7 @@ def _cmd_greedy(ns: argparse.Namespace) -> int:
                       "order": ns.order, "size": len(fam)}
             path = out_dir / f"greedy_k{ns.k}_n{ns.n}_seed{seed}.txt"
             path.write_text(write_family(fam, header=header), encoding="utf-8")
-    _emit_rows(ns.fmt, "greedy", ["k", "n", "seed", "order", "size", "maximal"], rows)
+    _emit_rows(ns.fmt, "greedy", rows)
     return EXIT_OK
 
 
@@ -294,15 +296,13 @@ def _cmd_distance(ns: argparse.Namespace) -> int:
         "distance": rep.distance,
         "size": len(fam),
     }
-    columns = ["k", "n", "block_sizes", "q_size", "distance", "size"]
     if ns.minimize:
         best = minimize_cube_distance(fam, p.num_blocks)
         row["min_distance"] = best.distance
         row["min_blocks"] = "|".join(
             ",".join(map(str, elements_of(b))) for b in best.partition.blocks
         )
-        columns += ["min_distance", "min_blocks"]
-    _emit_rows(ns.fmt, "distance", columns, [row])
+    _emit_rows(ns.fmt, "distance", [row])
     return EXIT_OK
 
 
@@ -314,7 +314,7 @@ def _cmd_table(ns: argparse.Namespace) -> int:
         base_seed=ns.seed,
         order=ns.order,
     )
-    _emit_rows(ns.fmt, "table", ["k", "n", "size", "formula", "oracle", "greedy_min"], rows)
+    _emit_rows(ns.fmt, "table", rows)
     return EXIT_OK
 
 

@@ -9,7 +9,6 @@ Canonical output lists members in ascending mask order.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .setcore import Family, SetMask, Universe, elements_of
 
@@ -61,11 +60,10 @@ def write_family(f: Family, header: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_family(text: str | Iterable[str]) -> Family:
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+def read_family(text: str) -> Family:
     u: Universe | None = None
     masks: list[SetMask] = []
-    for raw in lines:
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

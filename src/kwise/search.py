@@ -4,11 +4,11 @@ Exhaustive down-set enumeration at tiny n (the complement world of any
 maximal family is a down-set, so down-sets are the whole search space), an
 exact minimum-size oracle over it, seeded greedy saturation at medium n,
 cube-distance reports against block partitions and an aggregate size table.
-The oracle, the greedy and maximal_arity_range share one cover-level
-kernel: level t is a Python-int word over the 2^n masks holding those that
-at most t members cover, and _grow adds a member in a few word operations.
-Two cover numbers read from the levels give the whole interval of arities
-at which a family is maximal, so one down-set walk per n answers every k.
+The oracle, the greedy and maximal_arity_range read cover numbers from
+the cover-level words of setcore (level t holds the masks that at most t
+members cover), never from the verifier. Two cover numbers read from the
+levels give the whole interval of arities at which a family is maximal, so
+one down-set walk per n answers every k.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import inf
 from typing import Iterator, Sequence
 
 from .construction import BlockPartition, ConstructionParams, build_family, expected_size
@@ -25,13 +24,15 @@ from .setcore import (
     Family,
     SetMask,
     Universe,
+    _arity_range,
+    _cover_levels,
+    _grow,
     _low_words,
     _member_word,
     _word_bits,
     complement_family,
     maximal_elements,
 )
-from .verifier import check_kwise
 
 DOWNSET_MAX_N = 5
 GREEDY_MAX_N = 20
@@ -70,30 +71,6 @@ def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         down.append(down[m ^ b] | down[m ^ b] << b)
         rdown.append(rdown[m ^ b] | rdown[m ^ b] >> b)
     return tuple(down), tuple(rdown)
-
-
-def _grow(levels: Sequence[int], x: SetMask, low: Sequence[int]) -> tuple[int, ...]:
-    """Cover levels after adding mask x. Level t holds the masks T with
-    c(T) <= t, c(T) being the fewest members whose union contains T, so
-    with no members every level is 1. Level t gains every T | s with T in
-    level t - 1 and s a subset of x: one shift-and-mask per bit of x, as
-    level t - 1 is down-closed."""
-    shifts = [(low[i], 1 << i) for i in range(x.bit_length()) if x >> i & 1]
-    grown = [levels[0]]
-    for t in range(1, len(levels)):
-        spread = levels[t - 1]
-        for lw, b in shifts:
-            spread |= (spread & lw) << b
-        grown.append(levels[t] | spread)
-    return tuple(grown)
-
-
-def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
-    """(lo, hi) of maximal_arity_range from levels 0..n and gaps, the word
-    of full ^ x over the non-members x; a mask no level holds counts inf."""
-    hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
-    lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
-    return lo, hi
 
 
 def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
@@ -155,10 +132,7 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
     """
     g.universe.require_table()
     n, full = g.universe.n, g.universe.full
-    low = tuple(_low_words(n))
-    levels = (1,) * (n + 1)
-    for x in maximal_elements(g).members:
-        levels = _grow(levels, x, low)
+    levels = _cover_levels(maximal_elements(g).members, n, tuple(_low_words(n)))
     # bit full ^ x of the word is set for each member x; gaps are the rest
     gaps = _member_word((full ^ x for x in g.members), n) ^ ((1 << g.universe.num_masks) - 1)
     lo, hi = _arity_range(levels, gaps, full)
@@ -215,9 +189,24 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         raise ValueError(f"greedy saturation needs n <= {GREEDY_MAX_N}, got n={u.n}")
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
-    if not check_kwise(g0, k).ok:
-        raise ValueError("seed family is not k-wise intersecting in the complement world")
     size, full = u.num_masks, u.full
+    # c(T) > k - 1 exactly when T misses level min(k - 1, n), since a cover
+    # never needs more than n members; the levels depend only on the tops
+    low = tuple(_low_words(u.n))
+    tops = maximal_elements(g0).members
+    levels = _cover_levels(tops, min(k - 1, u.n), low)
+    # c only falls, so a rejected candidate stays rejected: one pass. Levels
+    # 1 and k - 1 are read through bytes snapshots, one O(1) index per test,
+    # refreshed after each insert of a mask that no member contains
+    nbytes = (size + 7) // 8
+    one = levels[1].to_bytes(nbytes, "little")
+    top = levels[-1].to_bytes(nbytes, "little")
+    # the seed is k-wise iff no top x has c(full ^ x) <= k - 1. A generator
+    # here would make top and full closure cells and slow the scan below
+    for x in tops:
+        t = full ^ x
+        if top[t >> 3] >> (t & 7) & 1:
+            raise ValueError("seed family is not k-wise intersecting in the complement world")
     if order == "random":
         cand = list(range(size))
         random.Random(order_seed).shuffle(cand)
@@ -227,18 +216,6 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         raise ValueError(f"unknown candidate order {order!r}")
 
     members: set[SetMask] = set(g0.members)
-    # c(T) > k - 1 exactly when T misses level min(k - 1, n), since a cover
-    # never needs more than n members; the levels depend only on the tops
-    low = tuple(_low_words(u.n))
-    levels = (1,) * (min(k - 1, u.n) + 1)
-    for x in maximal_elements(g0).members:
-        levels = _grow(levels, x, low)
-    # c only falls, so a rejected candidate stays rejected: one pass. Levels
-    # 1 and k - 1 are read through bytes snapshots, one O(1) index per test,
-    # refreshed after each insert of a mask that no member contains
-    nbytes = (size + 7) // 8
-    one = levels[1].to_bytes(nbytes, "little")
-    top = levels[-1].to_bytes(nbytes, "little")
     for x in cand:
         t = full ^ x
         if top[t >> 3] >> (t & 7) & 1 or x in members:

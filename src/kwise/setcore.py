@@ -1,4 +1,4 @@
-"""Bitmask subset-lattice primitives: universes, families, cover tables.
+"""Bitmask subset-lattice primitives: universes, families, both cover engines.
 
 A set over the ground set {1, .., n} is an n-bit mask with element i stored
 in bit i - 1. Families are immutable, deduplicated, sorted mask collections.
@@ -8,9 +8,10 @@ Whole-lattice passes work on Python-int words over the 2^n masks, bit p
 standing for mask p: _member_word packs masks into a word, _word_bits
 unpacks one, and _low_words gives LOW_i, the masks lacking bit i, so that
 (word & LOW_i) << 2^i moves each such mask x to x | 2^i.
-CoverSearcher finds a cover of one mask by few members through a memoised
-branch-and-bound search; the per-mask cover numbers of a growing family
-live as cover-level words in the search module.
+Both cover engines live here. CoverSearcher finds a cover of one mask by
+few members through a memoised branch-and-bound search. The cover levels
+hold every mask's cover number at once: level t is the word of the masks
+that at most t members cover, grown one member at a time by _grow.
 The legacy CoverTable (zeta transform, pointwise powers, Moebius inversion
 over two primes, built on one in-place numpy fold over the lattice) has no
 caller in the package; it imports numpy inside its functions, so importing
@@ -20,7 +21,8 @@ the package does not load numpy.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Iterable, Iterator
+from math import inf
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -249,6 +251,39 @@ def _word_bits(word: int) -> list[SetMask]:
     return out
 
 
+def _grow(levels: Sequence[int], x: SetMask, low: Sequence[int]) -> tuple[int, ...]:
+    """Cover levels after adding mask x. Level t holds the masks T with
+    c(T) <= t, c(T) being the fewest members whose union contains T, so
+    with no members every level is 1. Level t gains every T | s with T in
+    level t - 1 and s a subset of x: one shift-and-mask per bit of x, as
+    level t - 1 is down-closed."""
+    shifts = [(low[i], 1 << i) for i in range(x.bit_length()) if x >> i & 1]
+    grown = [levels[0]]
+    for t in range(1, len(levels)):
+        spread = levels[t - 1]
+        for lw, b in shifts:
+            spread |= (spread & lw) << b
+        grown.append(levels[t] | spread)
+    return tuple(grown)
+
+
+def _cover_levels(tops: Iterable[SetMask], depth: int, low: Sequence[int]) -> tuple[int, ...]:
+    """Cover levels 0..depth of a family from its maximal members alone
+    (the others change no level); low is tuple(_low_words(n))."""
+    levels = (1,) * (depth + 1)
+    for x in tops:
+        levels = _grow(levels, x, low)
+    return levels
+
+
+def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
+    """(lo, hi) of maximal_arity_range from levels 0..n and gaps, the word
+    of full ^ x over the non-members x; a mask no level holds counts inf."""
+    hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
+    lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
+    return lo, hi
+
+
 def make_star(u: Universe) -> Family:
     """All 2^(n-1) subsets containing element 1."""
     return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
@@ -417,16 +452,3 @@ class CoverSearcher:
         self._no[target] = budget
         return None
 
-
-def can_cover(f: Family, target: SetMask, j: int) -> bool:
-    """True iff some <= j members of f union to a superset of target.
-
-    For down-sets this coincides with hitting the target exactly (restrict
-    each member to the target). The search runs over maximal elements; a
-    prebuilt CoverTable answers the same query with its own can_cover.
-    """
-    f.universe.check_mask(target)
-    if j < 1:
-        raise ValueError(f"cover budget must be >= 1, got {j}")
-    tops = maximal_elements(f).members
-    return CoverSearcher(tops, f.universe.n).find(target, j) is not None

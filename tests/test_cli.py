@@ -246,6 +246,32 @@ def test_oracle_json(capsys):
     assert code == 0 and payload["rows"][0]["f"] == 4
 
 
+@pytest.mark.parametrize("argv,columns", [
+    (["greedy", "--k", "3", "--n", "7", "--runs", "2", "--seed", "1"],
+     ["k", "n", "seed", "order", "size", "maximal"]),
+    (["distance", "--k", "3", "--n", "6"],
+     ["k", "n", "block_sizes", "q_size", "distance", "size"]),
+    (["distance", "--k", "3", "--n", "6", "--minimize"],
+     ["k", "n", "block_sizes", "q_size", "distance", "size", "min_distance", "min_blocks"]),
+    (["table", "--k", "2..4", "--n", "3..5", "--runs", "1"],
+     ["k", "n", "size", "formula", "oracle", "greedy_min"]),
+], ids=["greedy", "distance", "distance-minimize", "table"])
+def test_json_rows_match_tsv(capsys, argv, columns):
+    # both formats come from the same rows: the TSV columns are the row
+    # keys in order, an empty TSV cell is a JSON null
+    code, tsv, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, *lines = tsv.splitlines()
+    assert header.split("\t") == columns
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["schema"] == 1 and payload["command"] == argv[0]
+    assert len(payload["rows"]) == len(lines) >= 1
+    for line, row in zip(lines, payload["rows"]):
+        assert sorted(row) == sorted(columns)
+        assert line.split("\t") == ["" if row[c] is None else str(row[c]) for c in columns]
+
+
 def test_greedy_rows_and_files(capsys, tmp_path):
     out_dir = tmp_path / "fams"
     code, out, _ = run_cli(

@@ -23,12 +23,11 @@ from kwise import (
 from kwise.search import (
     OracleResult,
     _downset_walk,
-    _grow,
     _oracle_results,
     _popcount_order,
     maximal_arity_range,
 )
-from kwise.setcore import _low_words, complement_family, maximal_elements
+from kwise.setcore import _grow, _low_words, complement_family, maximal_elements
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
@@ -319,6 +318,43 @@ def test_greedy_rejects_bad_seed_family():
         greedy_saturate(Family(u), 1, 0)
     with pytest.raises(ValueError):
         greedy_saturate(Family(u), 3, 0, order="sideways")
+
+
+def _partition_seed(rng, n, j):
+    """A seed with c(full) exactly j: the j blocks of a random partition of
+    [n] plus a few subsets of blocks, so usually not a down-set."""
+    labels = list(range(j)) + [rng.randrange(j) for _ in range(n - j)]
+    rng.shuffle(labels)
+    blocks = [sum(1 << e for e in range(n) if labels[e] == b) for b in range(j)]
+    extra = [rng.choice(blocks) & rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
+    return Family(Universe(n), blocks + extra)
+
+
+def test_greedy_seed_check_matches_brute_force():
+    # the greedy accepts a seed iff no <= k members union to the full set
+    rng = random.Random(29)
+    cases = [(random_family(rng, n, 8), rng.randint(2, n + 3))
+             for n in (rng.randint(1, 7) for _ in range(300))]
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        j = rng.randint(2, n)
+        g = _partition_seed(rng, n, j)
+        cases += [(g, j), (g, j - 1)] if j > 2 else [(g, j)]  # c(full) = k, k + 1
+    # the smallest top, 0b00110, lies in no 2-cover; 0b01010 | 0b10101 = full
+    cases.append((Family(Universe(5), [0b00110, 0b01010, 0b10101]), 2))
+    seen = set()
+    for g, k in cases:
+        n = g.universe.n
+        ok = brute_kwise_ok(list(g.members), n, k)
+        try:
+            greedy_saturate(g, k, 0)
+        except ValueError as exc:
+            assert not ok, (g.members, k)
+            assert str(exc) == "seed family is not k-wise intersecting in the complement world"
+        else:
+            assert ok, (g.members, k)
+        seen.add((ok, k - 1 >= n, is_downset(g)))
+    assert len(seen) == 8  # both verdicts, with k - 1 >= n or not, down-set or not
 
 
 def test_greedy_extends_given_seed_family():

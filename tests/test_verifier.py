@@ -390,6 +390,31 @@ def test_verify_witness_gap_member_fails():
     assert not verify_witness(w, g, 3)  # the gap mask must not be a member
 
 
+def test_verify_witness_gap_matches_brute_completion():
+    # a non-member is a true gap iff no <= k - 1 members complete it to the
+    # full set; verify_witness reads this from the cover levels
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = random_family(rng, n, 10)
+        k = rng.randint(2, n + 2)
+        for x in rng.sample(range(1 << n), min(6, 1 << n)):
+            if x in g:
+                continue
+            want = not completable(list(g.members), x, n, k)
+            v = Verdict(False, GapWitness(x), "not_saturated")
+            assert verify_witness(v, g, k) == want, (g.members, x, k)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_verify_witness_gap_rejects_large_universe():
+    v = Verdict(False, GapWitness(2), "not_saturated")
+    with pytest.raises(ValueError, match="2\\^n table limit"):
+        verify_witness(v, Family(Universe(25), [1]), 3)
+
+
 def test_verify_witness_detects_corruption():
     u = Universe(4)
     g = Family(u, [0b0011, 0b1100])
