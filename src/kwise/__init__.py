@@ -5,99 +5,84 @@ members (repetition allowed) share a common element, and maximal when no
 strict superfamily still is. All machinery works in the complement picture,
 where the k-wise property becomes "no k members union to the full set" and
 cover queries over the subset lattice decide everything.
-"""
 
-from .construction import (
-    BlockPartition,
-    BuiltFamily,
-    ConstructionParams,
-    build_f1,
-    build_f2,
-    build_family,
-    expected_size,
-    make_partition,
-)
-from .familyio import format_set_line, parse_set_line, read_family, write_family
-from .search import (
-    CubeReport,
-    OracleResult,
-    cube_distance,
-    enumerate_downsets,
-    greedy_saturate,
-    minimize_cube_distance,
-    oracle_min_size,
-    size_table,
-)
-from .setcore import (
-    CoverSearcher,
-    CoverTable,
-    Family,
-    SetMask,
-    Universe,
-    build_cover_table,
-    complement_family,
-    cover_table_from_indicator,
-    downset_closure,
-    elements_of,
-    is_downset,
-    make_star,
-    mask_of,
-    maximal_elements,
-    submasks,
-)
-from .verifier import (
-    CoverWitness,
-    GapWitness,
-    Verdict,
-    check_kwise,
-    check_saturated,
-    is_maximal_kwise,
-    verify_witness,
-)
+The package loads lazily: importing it loads no submodule, and each export
+loads its defining module on first access. So `python -m kwise verify`
+loads only cli, familyio, setcore and verifier, and `kwise greedy` adds
+search but not construction.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockPartition",
-    "BuiltFamily",
-    "ConstructionParams",
-    "CoverSearcher",
-    "CoverTable",
-    "CoverWitness",
-    "CubeReport",
-    "Family",
-    "GapWitness",
-    "OracleResult",
-    "SetMask",
-    "Universe",
-    "Verdict",
-    "build_cover_table",
-    "build_f1",
-    "build_f2",
-    "build_family",
-    "check_kwise",
-    "check_saturated",
-    "complement_family",
-    "cover_table_from_indicator",
-    "cube_distance",
-    "downset_closure",
-    "elements_of",
-    "enumerate_downsets",
-    "expected_size",
-    "format_set_line",
-    "greedy_saturate",
-    "is_downset",
-    "is_maximal_kwise",
-    "make_partition",
-    "make_star",
-    "mask_of",
-    "maximal_elements",
-    "minimize_cube_distance",
-    "oracle_min_size",
-    "parse_set_line",
-    "read_family",
-    "size_table",
-    "submasks",
-    "verify_witness",
-    "write_family",
-]
+# Each export's defining submodule.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "construction": (
+            "BlockPartition",
+            "BuiltFamily",
+            "ConstructionParams",
+            "build_f1",
+            "build_f2",
+            "build_family",
+            "expected_size",
+            "make_partition",
+        ),
+        "familyio": ("format_set_line", "parse_set_line", "read_family", "write_family"),
+        "search": (
+            "CubeReport",
+            "OracleResult",
+            "cube_distance",
+            "enumerate_downsets",
+            "greedy_saturate",
+            "minimize_cube_distance",
+            "oracle_min_size",
+            "size_table",
+        ),
+        "setcore": (
+            "CoverSearcher",
+            "CoverTable",
+            "Family",
+            "SetMask",
+            "Universe",
+            "build_cover_table",
+            "complement_family",
+            "cover_table_from_indicator",
+            "downset_closure",
+            "elements_of",
+            "is_downset",
+            "make_star",
+            "mask_of",
+            "maximal_elements",
+            "submasks",
+        ),
+        "verifier": (
+            "CoverWitness",
+            "GapWitness",
+            "Verdict",
+            "check_kwise",
+            "check_saturated",
+            "is_maximal_kwise",
+            "verify_witness",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not in the module's namespace. The
+    # value is not cached here, so the package always shows the defining
+    # module's current binding.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

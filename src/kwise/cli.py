@@ -11,23 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING
 
-from .construction import ConstructionParams, build_family, expected_size
-from .familyio import read_family, write_family
-from .search import (
-    DOWNSET_MAX_N,
-    GREEDY_MAX_N,
-    MINIMIZE_MAX_N,
-    cube_distance,
-    greedy_saturate,
-    minimize_cube_distance,
-    oracle_min_size,
-    size_table,
-)
-from .setcore import Family, TABLE_MAX_N, Universe, elements_of
-from .verifier import CoverWitness, GapWitness, is_maximal_kwise
+# Each handler imports the layers it runs, so a call loads only what its
+# subcommand needs: --help loads no layer and verify loads no search.
+if TYPE_CHECKING:
+    from typing import Sequence
+
+    from .setcore import Family
 
 SCHEMA = 1
 EXIT_OK = 0
@@ -137,11 +128,15 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     elif ns.command == "oracle":
         if ns.k < 2:
             parser.error(f"the oracle requires k >= 2, got {ns.k}")
+        from .search import DOWNSET_MAX_N
+
         if not 1 <= ns.n <= DOWNSET_MAX_N:
             parser.error(f"the exhaustive oracle requires 1 <= n <= {DOWNSET_MAX_N}")
     elif ns.command == "greedy":
         if ns.k < 2:
             parser.error(f"greedy saturation requires k >= 2, got {ns.k}")
+        from .search import GREEDY_MAX_N
+
         if not 1 <= ns.n <= GREEDY_MAX_N:
             parser.error(f"greedy saturation requires 1 <= n <= {GREEDY_MAX_N}")
         if ns.runs < 1:
@@ -150,13 +145,18 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         _check_block_params(parser, ns, "the cube probe")
         if ns.n > _CONSTRUCT_MAX_N:
             parser.error(f"the cube probe is capped at n <= {_CONSTRUCT_MAX_N}")
-        if ns.minimize and ns.n > MINIMIZE_MAX_N:
-            parser.error(f"--minimize requires n <= {MINIMIZE_MAX_N}")
+        if ns.minimize:
+            from .search import MINIMIZE_MAX_N
+
+            if ns.n > MINIMIZE_MAX_N:
+                parser.error(f"--minimize requires n <= {MINIMIZE_MAX_N}")
     elif ns.command == "table":
         ns.k_range = _parse_range(parser, ns.k)
         ns.n_range = _parse_range(parser, ns.n)
         if ns.k_range[0] < 2:
             parser.error("table requires k >= 2")
+        from .setcore import TABLE_MAX_N
+
         if ns.n_range[0] < 1 or ns.n_range[1] > TABLE_MAX_N:
             parser.error(f"table requires 1 <= n <= {TABLE_MAX_N}")
         if ns.runs < 0:
@@ -165,6 +165,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _witness_json(w) -> dict | None:
+    from .verifier import CoverWitness, GapWitness
+
     if w is None:
         return None
     if isinstance(w, CoverWitness):
@@ -189,16 +191,22 @@ def _emit_rows(fmt: str, command: str, rows: list[dict]) -> None:
 def _read_input_family(path: str | None, n: int | None = None) -> Family:
     """The family in path (stdin for None or -), which must be over [n]
     when n is given."""
+    from .familyio import read_family
+
     if path in (None, "-"):
         fam = read_family(sys.stdin.read())
     else:
-        fam = read_family(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            fam = read_family(fh.read())
     if n is not None and fam.universe.n != n:
         raise ValueError(f"input family has n={fam.universe.n}, flags say n={n}")
     return fam
 
 
 def _cmd_construct(ns: argparse.Namespace) -> int:
+    from .construction import ConstructionParams, build_family, expected_size
+    from .familyio import write_family
+
     p = ConstructionParams(ns.k, ns.n)
     built = build_family(p)
     header = {
@@ -212,13 +220,16 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
     }
     text = write_family(built.f, header=header)
     if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .verifier import is_maximal_kwise
+
     fam = _read_input_family(ns.input_path)
     v = is_maximal_kwise(fam, ns.k, ns.world)
     payload = {
@@ -241,6 +252,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(ns: argparse.Namespace) -> int:
+    from .search import oracle_min_size
+    from .setcore import Universe
+
     res = oracle_min_size(ns.k, Universe(ns.n))
     row = {
         "k": res.k,
@@ -254,12 +268,22 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
 
 
 def _cmd_greedy(ns: argparse.Namespace) -> int:
+    from .familyio import write_family
+    from .search import greedy_saturate
+    from .setcore import Family, Universe
+    from .verifier import is_maximal_kwise
+
     if ns.input_path:
         g0 = _read_input_family(ns.input_path, ns.n)
     else:
         g0 = Family(Universe(ns.n))
-    out_dir = Path(ns.out) if ns.out else None
-    if out_dir:
+    out_dir = None
+    if ns.out:
+        # Path.mkdir's errors name the --out path itself, where os.makedirs
+        # may name one of its parents
+        from pathlib import Path
+
+        out_dir = Path(ns.out)
         out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for r in range(ns.runs):
@@ -284,6 +308,10 @@ def _cmd_greedy(ns: argparse.Namespace) -> int:
 
 
 def _cmd_distance(ns: argparse.Namespace) -> int:
+    from .construction import ConstructionParams, build_family
+    from .search import cube_distance, minimize_cube_distance
+    from .setcore import elements_of
+
     p = ConstructionParams(ns.k, ns.n)
     built = build_family(p)
     fam = _read_input_family(ns.input_path, ns.n) if ns.input_path else built.f
@@ -307,6 +335,8 @@ def _cmd_distance(ns: argparse.Namespace) -> int:
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
+    from .search import size_table
+
     rows = size_table(
         range(ns.k_range[0], ns.k_range[1] + 1),
         range(ns.n_range[0], ns.n_range[1] + 1),

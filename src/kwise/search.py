@@ -4,6 +4,8 @@ Exhaustive down-set enumeration at tiny n (the complement world of any
 maximal family is a down-set, so down-sets are the whole search space), an
 exact minimum-size oracle over it, seeded greedy saturation at medium n,
 cube-distance reports against block partitions and an aggregate size table.
+Only size_table and minimize_cube_distance import construction, so the
+greedy and the oracle load neither it nor dataclasses.
 The oracle, the greedy and maximal_arity_range read cover numbers from
 the cover-level words of setcore (level t holds the masks that at most t
 members cover), never from the verifier. Two cover numbers read from the
@@ -14,12 +16,10 @@ one down-set walk per n answers every k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
-from .construction import BlockPartition, ConstructionParams, build_family, expected_size
 from .setcore import (
     Family,
     SetMask,
@@ -29,18 +29,24 @@ from .setcore import (
     _grow,
     _low_words,
     _member_word,
+    _record,
     _word_bits,
     complement_family,
     maximal_elements,
 )
+
+if TYPE_CHECKING:
+    from typing import Iterator, Sequence
+
+    from .construction import BlockPartition
 
 DOWNSET_MAX_N = 5
 GREEDY_MAX_N = 20
 MINIMIZE_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class OracleResult:
+@_record
+class OracleResult(NamedTuple):
     """Exact minimum size of a maximal k-wise intersecting family over [n],
     with the number of minimum achievers and one achiever (direct world)."""
 
@@ -51,8 +57,8 @@ class OracleResult:
     sample_extremal: Family
 
 
-@dataclass(frozen=True)
-class CubeReport:
+@_record
+class CubeReport(NamedTuple):
     """How far a family sits from the union of its partition's cubes."""
 
     partition: BlockPartition
@@ -275,6 +281,8 @@ def minimize_cube_distance(f: Family, num_blocks: int) -> CubeReport:
     """Exhaustive minimum of cube_distance over all unordered partitions of
     the universe into num_blocks near-equal blocks (n <= 8 only; the space
     is super-exponential)."""
+    from .construction import BlockPartition
+
     u = f.universe
     if u.n > MINIMIZE_MAX_N:
         raise ValueError(f"partition minimisation needs n <= {MINIMIZE_MAX_N}, got n={u.n}")
@@ -308,6 +316,8 @@ def size_table(
     """One row per (k, n): construction size, closed-form size, exhaustive
     minimum, and the best greedy size over `runs` seeds. Infeasible cells
     stay None."""
+    from .construction import ConstructionParams, build_family, expected_size
+
     oracle_ks = [k for k in ks if k >= 2]
     oracle = {
         n: _oracle_results(oracle_ks, Universe(n))

@@ -12,6 +12,8 @@ Both cover engines live here. CoverSearcher finds a cover of one mask by
 few members through a memoised branch-and-bound search. The cover levels
 hold every mask's cover number at once: level t is the word of the masks
 that at most t members cover, grown one member at a time by _grow.
+_record gives the NamedTuple result types of verifier and search the
+equality of a frozen dataclass without loading dataclasses.
 The legacy CoverTable (zeta transform, pointwise powers, Moebius inversion
 over two primes, built on one in-place numpy fold over the lattice) has no
 caller in the package; it imports numpy inside its functions, so importing
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import re
 from math import inf
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from typing import Iterable, Iterator, Sequence
+
     import numpy as np
 
 SetMask = int
@@ -38,6 +42,25 @@ _NONE = 255
 # taken modulo 31-bit primes. A nonzero residue proves a nonzero count; a
 # zero residue may be a collision.
 _PRIMES = (2_147_483_647, 2_147_483_629)
+
+
+def _record(cls):
+    """Class decorator for the NamedTuple result types of verifier and
+    search: instances equal only instances of the same class with equal
+    fields, and hash with their class, as frozen dataclasses do. A bare
+    NamedTuple would equal any tuple, so GapWitness(5) == (5,)."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    def __hash__(self):
+        return hash((type(self), tuple.__hash__(self)))
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls
 
 
 class Universe:

@@ -17,7 +17,7 @@ plain mask arithmetic, a gap by the cover levels of setcore.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .setcore import (
     CoverSearcher,
@@ -26,6 +26,7 @@ from .setcore import (
     _cover_levels,
     _low_words,
     _member_word,
+    _record,
     _word_bits,
     build_cover_table,  # noqa: F401  bench/tracer.py patches this binding
     complement_family,
@@ -33,23 +34,23 @@ from .setcore import (
 )
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+@_record
+class CoverWitness(NamedTuple):
     """At most k members whose union is the full ground set."""
 
     masks: tuple[SetMask, ...]
 
 
-@dataclass(frozen=True)
-class GapWitness:
+@_record
+class GapWitness(NamedTuple):
     """A non-member mask that no <= k-1 members complete to the full set,
     so it could be added and the family was not maximal."""
 
     mask: SetMask
 
 
-@dataclass(frozen=True)
-class Verdict:
+@_record
+class Verdict(NamedTuple):
     ok: bool
     witness: CoverWitness | GapWitness | None = None
     reason: str | None = None  # "not_kwise" or "not_saturated"

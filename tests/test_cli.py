@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -396,19 +397,26 @@ def test_shell_pipeline_construct_verify():
     assert json.loads(verify.stdout)["maximal"] is True
 
 
-# --- numpy stays off the command line path -------------------------------------
+# --- each command loads only what it runs --------------------------------------
 
 # Runs `kwise ARGV` through cli.main; with "block" first, every import of
-# numpy raises ImportError. The last stderr line says whether numpy was
-# loaded.
+# numpy raises ImportError. The last stderr line is a dict literal: whether
+# numpy was loaded, whether the call loaded dataclasses (judged against what
+# the interpreter had loaded before kwise, so a site hook cannot count),
+# and the kwise modules loaded.
 _RUN_WITHOUT_NUMPY = """\
 import sys
+bare = set(sys.modules)
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 from kwise.cli import main
 code = main(sys.argv[2:])
 sys.stdout.flush()
-print("numpy loaded:", sys.modules.get("numpy") is not None, file=sys.stderr)
+print({
+    "numpy": sys.modules.get("numpy") is not None,
+    "dataclasses": "dataclasses" in set(sys.modules) - bare,
+    "kwise": sorted(m for m in sys.modules if m.split(".")[0] == "kwise"),
+}, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -421,24 +429,34 @@ def _construct_3_8(edit):
     return "".join(edit(lines))
 
 
-# (id, argv, stdin edit of the (3, 8) construction or None, exit code)
+_LAYERS = ("kwise.construction", "kwise.familyio", "kwise.search", "kwise.setcore",
+           "kwise.verifier")
+_NOT_ON_VERIFY = ("kwise.search", "kwise.construction", "dataclasses")
+_NOT_ON_GREEDY = ("kwise.construction", "dataclasses")
+
+# (id, argv, stdin edit of the (3, 8) construction or None, exit code,
+# modules the call must not load)
 NO_NUMPY_CASES = [
-    ("help", ["--help"], None, 0),
-    ("construct", ["construct", "--k", "3", "--n", "8"], None, 0),
-    ("verify-maximal", ["verify", "--k", "3"], lambda ls: ls, 0),
-    ("verify-not-kwise", ["verify", "--k", "3"], lambda ls: ls + ["1,2,3,4,5,6,7,8\n"], 2),
-    ("verify-not-downset", ["verify", "--k", "3"], lambda ls: ls[:2] + ls[3:], 3),
-    ("oracle", ["oracle", "--k", "3", "--n", "5"], None, 0),
-    ("greedy-random", ["greedy", "--k", "3", "--n", "10", "--runs", "2"], None, 0),
-    ("greedy-popcount", ["greedy", "--k", "4", "--n", "10", "--order", "popcount"], None, 0),
-    ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0),
-    ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0),
+    ("help", ["--help"], None, 0, _LAYERS),
+    ("construct", ["construct", "--k", "3", "--n", "8"], None, 0, ()),
+    ("verify-maximal", ["verify", "--k", "3"], lambda ls: ls, 0, _NOT_ON_VERIFY),
+    ("verify-not-kwise", ["verify", "--k", "3"], lambda ls: ls + ["1,2,3,4,5,6,7,8\n"], 2,
+     _NOT_ON_VERIFY),
+    ("verify-not-downset", ["verify", "--k", "3"], lambda ls: ls[:2] + ls[3:], 3,
+     _NOT_ON_VERIFY),
+    ("oracle", ["oracle", "--k", "3", "--n", "5"], None, 0, ()),
+    ("greedy-random", ["greedy", "--k", "3", "--n", "10", "--runs", "2"], None, 0,
+     _NOT_ON_GREEDY),
+    ("greedy-popcount", ["greedy", "--k", "4", "--n", "10", "--order", "popcount"], None, 0,
+     _NOT_ON_GREEDY),
+    ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0, ()),
+    ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0, ()),
 ]
 
 
-@pytest.mark.parametrize(("argv", "edit", "code"), [c[1:] for c in NO_NUMPY_CASES],
+@pytest.mark.parametrize(("argv", "edit", "code", "absent"), [c[1:] for c in NO_NUMPY_CASES],
                          ids=[c[0] for c in NO_NUMPY_CASES])
-def test_cli_runs_without_numpy(argv, edit, code):
+def test_cli_runs_without_numpy(argv, edit, code, absent):
     stdin = None if edit is None else _construct_3_8(edit)
     env = dict(os.environ, PYTHONPATH=SRC)
     runs = {
@@ -450,5 +468,9 @@ def test_cli_runs_without_numpy(argv, edit, code):
     }
     for run in runs.values():
         assert run.returncode == code, run.stderr
-        assert run.stderr.splitlines()[-1] == "numpy loaded: False"
+        report = ast.literal_eval(run.stderr.splitlines()[-1])
+        assert report["numpy"] is False
+        assert {"kwise", "kwise.cli"} <= set(report["kwise"])
+        loaded = set(report["kwise"]) | ({"dataclasses"} if report["dataclasses"] else set())
+        assert not loaded & set(absent), sorted(loaded & set(absent))
     assert runs["block"].stdout == runs["plain"].stdout != ""
