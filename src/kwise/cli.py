@@ -288,15 +288,16 @@ def _cmd_greedy(ns: argparse.Namespace) -> int:
     rows = []
     for r in range(ns.runs):
         seed = ns.seed + r
-        fam = greedy_saturate(g0, ns.k, seed, order=ns.order)
-        verdict = is_maximal_kwise(fam, ns.k, "complement")
+        if r == 0 or ns.order == "random":  # the popcount order has no seed
+            fam = greedy_saturate(g0, ns.k, seed, order=ns.order)
+            maximal = int(is_maximal_kwise(fam, ns.k, "complement").ok)
         rows.append({
             "k": ns.k,
             "n": ns.n,
             "seed": seed,
             "order": ns.order,
             "size": len(fam),
-            "maximal": int(verdict.ok),
+            "maximal": maximal,
         })
         if out_dir:
             header = {"schema": SCHEMA, "k": ns.k, "n": ns.n, "seed": seed,
@@ -308,18 +309,21 @@ def _cmd_greedy(ns: argparse.Namespace) -> int:
 
 
 def _cmd_distance(ns: argparse.Namespace) -> int:
-    from .construction import ConstructionParams, build_family
+    from .construction import ConstructionParams, build_family, make_partition
     from .search import cube_distance, minimize_cube_distance
     from .setcore import elements_of
 
     p = ConstructionParams(ns.k, ns.n)
-    built = build_family(p)
-    fam = _read_input_family(ns.input_path, ns.n) if ns.input_path else built.f
-    rep = cube_distance(fam, built.partition)
+    if ns.input_path:
+        partition = make_partition(p)
+        fam = _read_input_family(ns.input_path, ns.n)
+    else:
+        fam, _, partition = build_family(p)
+    rep = cube_distance(fam, partition)
     row = {
         "k": ns.k,
         "n": ns.n,
-        "block_sizes": ",".join(map(str, built.partition.block_sizes())),
+        "block_sizes": ",".join(map(str, partition.block_sizes())),
         "q_size": rep.q_size,
         "distance": rep.distance,
         "size": len(fam),

@@ -12,12 +12,10 @@ Both cover engines live here. CoverSearcher finds a cover of one mask by
 few members through a memoised branch-and-bound search. The cover levels
 hold every mask's cover number at once: level t is the word of the masks
 that at most t members cover, grown one member at a time by _grow.
+CoverTable is a byte-per-mask view of levels 0..limit that no command or
+library path builds; the benchmark's tracer patches its names.
 _record gives the NamedTuple result types of verifier and search the
 equality of a frozen dataclass without loading dataclasses.
-The legacy CoverTable (zeta transform, pointwise powers, Moebius inversion
-over two primes, built on one in-place numpy fold over the lattice) has no
-caller in the package; it imports numpy inside its functions, so importing
-the package does not load numpy.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from typing import Iterable, Iterator, Sequence
 
-    import numpy as np
-
 SetMask = int
 
 ALGEBRA_MAX_N = 62
@@ -38,10 +34,7 @@ TABLE_MAX_N = 24
 COVER_MAX_J = 8
 
 _NONE = 255
-# Tuple counts in the transform domain can exceed 64 bits, so they are
-# taken modulo 31-bit primes. A nonzero residue proves a nonzero count; a
-# zero residue may be a collision.
-_PRIMES = (2_147_483_647, 2_147_483_629)
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _record(cls):
@@ -312,75 +305,48 @@ def make_star(u: Universe) -> Family:
     return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
 
 
-def fold_subsets(a: np.ndarray, op) -> np.ndarray:
-    """In place over all 2^n masks, for each bit, a[m] = op(a[m], a[m - bit])
-    where m has that bit. np.add gives subset sums (the zeta transform),
-    np.subtract undoes them (Moebius inversion). Returns a."""
-    for i in range(a.size.bit_length() - 1):
-        v = a.reshape(-1, 2, 1 << i)
-        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
-    return a
-
-
-def fold_supersets(a: np.ndarray, op) -> np.ndarray:
-    """In place, for each bit, a[m] = op(a[m], a[m + bit]) where m lacks the
-    bit: np.logical_or turns an indicator into its down-closure, np.minimum
-    gives the superset-min. Returns a."""
-    for i in range(a.size.bit_length() - 1):
-        v = a.reshape(-1, 2, 1 << i)
-        op(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
-    return a
-
-
-def moebius_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Moebius inversion of values in [0, 2^31), reduced mod p once at the
-    end. The n plain subtractions move a value by at most 2^n * 2^31 <= 2^55
-    for n <= 24, so the int64 intermediates cannot overflow."""
-    import numpy as np
-
-    fold_subsets(a, np.subtract)
-    a %= p
-    return a
-
-
 class CoverTable:
-    """Minimum union-cover sizes for every mask of the lattice.
+    """Covering numbers of every mask up to a limit, held as the cover
+    levels 0..limit of the family's maximal members.
 
-    min_cover[m] is the least j <= limit such that m equals a union of j
-    family members (members may repeat), 255 where no such j exists; the
-    empty mask gets 0, the empty union. Computed with a subset-sum (zeta)
-    transform, pointwise j-th powers and Moebius inversion over two prime
-    moduli, so a genuinely positive count never vanishes unless both
-    residues collide at zero.
+    covering(m) is the least j <= limit such that some j members (repeats
+    allowed) union to a superset of m: 0 for the empty mask, None beyond
+    limit. No command or library path builds a table; the benchmark's
+    tracer patches its names.
     """
 
     NONE = _NONE
 
-    __slots__ = ("universe", "limit", "min_cover", "_sup")
+    __slots__ = ("universe", "limit", "levels", "_sup")
 
-    def __init__(self, universe: Universe, limit: int, min_cover: np.ndarray) -> None:
+    def __init__(self, universe: Universe, limit: int, levels: Sequence[int]) -> None:
         self.universe = universe
         self.limit = limit
-        self.min_cover = min_cover
-        self._sup: np.ndarray | None = None
-
-    def exact(self, m: SetMask) -> int | None:
-        """Least j with m exactly a union of j members, None beyond limit."""
-        v = int(self.min_cover[self.universe.check_mask(m)])
-        return None if v == _NONE else v
+        self.levels = tuple(levels)
+        self._sup: bytes | None = None
 
     @property
-    def sup(self) -> np.ndarray:
-        """Superset-min closure: sup[m] = min(min_cover[m'] for m' >= m)."""
-        if self._sup is None:
-            import numpy as np
+    def sup(self) -> bytes:
+        """One byte per mask: its covering number, NONE beyond limit.
 
-            self._sup = fold_supersets(self.min_cover.copy(), np.minimum)
+        Each level is spelled as one 0/1 byte per mask, and the spellings
+        add as integers with no carry (at most COVER_MAX_J + 1 levels). A
+        mask in c of the nested levels has covering number limit + 1 - c.
+        """
+        if self._sup is None:
+            size = self.universe.num_masks
+            present = 0
+            for level in self.levels:
+                spelled = format(level, f"0{size}b").encode().translate(_BIT_BYTES)
+                present += int.from_bytes(spelled, "big")
+            number = bytes([_NONE, *range(self.limit, -1, -1)]).ljust(256, b"\0")
+            # byte i of the big-endian spelling stands for mask size - 1 - i
+            self._sup = present.to_bytes(size, "big")[::-1].translate(number)
         return self._sup
 
     def covering(self, m: SetMask) -> int | None:
         """Least j such that some j members union to a superset of m."""
-        v = int(self.sup[self.universe.check_mask(m)])
+        v = self.sup[self.universe.check_mask(m)]
         return None if v == _NONE else v
 
     def can_cover(self, target: SetMask, j: int) -> bool:
@@ -390,46 +356,27 @@ class CoverTable:
 
 def build_cover_table(f: Family, j_max: int) -> CoverTable:
     """Cover table of a nonempty family; requires n <= 24 and j_max <= 8."""
-    import numpy as np
-
     u = f.universe
     u.require_table()
     if not f.members:
         raise ValueError("cover table requires a nonempty family")
-    ind = np.zeros(u.num_masks, dtype=np.int64)
-    ind[list(f.members)] = 1
+    ind = bytearray(u.num_masks)
+    for m in f.members:
+        ind[m] = 1
     return cover_table_from_indicator(ind, u, j_max)
 
 
-def cover_table_from_indicator(ind: np.ndarray, u: Universe, j_max: int) -> CoverTable:
-    """Cover table from a 0/1 indicator over all 2^n masks (may be empty)."""
-    import numpy as np
-
+def cover_table_from_indicator(ind: Sequence[int], u: Universe, j_max: int) -> CoverTable:
+    """Cover table from a 0/1 sequence over all 2^n masks (may be all 0)."""
     u.require_table()
-    if ind.shape != (u.num_masks,):
+    if len(ind) != u.num_masks:
         raise ValueError("indicator length must be 2^n")
     if not 1 <= j_max <= COVER_MAX_J:
         raise ValueError(f"j_max must be in 1..{COVER_MAX_J}, got {j_max}")
-    zeta = fold_subsets(ind.astype(np.int64, copy=True), np.add)
-    # Unions of a single member are the members themselves.
-    minc = np.full(u.num_masks, _NONE, dtype=np.uint8)
-    minc[np.asarray(ind, dtype=bool)] = 1
-    if j_max >= 2 and bool((minc == _NONE).any()):
-        per_prime = []
-        for p in _PRIMES:
-            mp = minc.copy()
-            pw = zeta % p
-            for j in range(2, j_max + 1):
-                if not bool((mp == _NONE).any()):
-                    break
-                pw *= zeta
-                pw %= p
-                mob = moebius_mod(pw.copy(), p)
-                mp[(mob != 0) & (mp == _NONE)] = j
-            per_prime.append(mp)
-        minc = np.minimum(per_prime[0], per_prime[1])
-    minc[0] = 0  # empty union
-    return CoverTable(u, j_max, minc)
+    flags = ind if isinstance(ind, (bytes, bytearray)) else bytes(map(bool, ind))
+    f = Family(u, (hit.start() for hit in re.finditer(rb"[^\x00]", flags)))
+    levels = _cover_levels(maximal_elements(f).members, j_max, tuple(_low_words(u.n)))
+    return CoverTable(u, j_max, levels)
 
 
 class CoverSearcher:

@@ -1,5 +1,6 @@
 """Brute-force reference oracles, deliberately independent of the library's
-transform and search machinery."""
+cover levels and search machinery, and the numpy lattice folds that the
+modular-count tests use."""
 
 from itertools import combinations, combinations_with_replacement
 
@@ -28,6 +29,41 @@ def naive_min_cover(members, n, j_max):
         out[fresh] = j
         current = nxt
     return out
+
+
+def superset_min(table):
+    """sup[m] = min(table[s] for s >= m): the covering number of every mask
+    from an exact-union table such as naive_min_cover's."""
+    return fold_supersets(table.copy(), np.minimum)
+
+
+def fold_subsets(a, op):
+    """In place over all 2^n masks, for each bit, a[m] = op(a[m], a[m - bit])
+    where m has that bit. np.add gives subset sums (the zeta transform),
+    np.subtract undoes them (Moebius inversion). Returns a."""
+    for i in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << i)
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return a
+
+
+def fold_supersets(a, op):
+    """In place, for each bit, a[m] = op(a[m], a[m + bit]) where m lacks the
+    bit: np.logical_or turns an indicator into its down-closure, np.minimum
+    gives the superset-min. Returns a."""
+    for i in range(a.size.bit_length() - 1):
+        v = a.reshape(-1, 2, 1 << i)
+        op(v[:, 0, :], v[:, 1, :], out=v[:, 0, :])
+    return a
+
+
+def moebius_mod(a, p):
+    """Moebius inversion of values in [0, 2^31), reduced mod p once at the
+    end. The n plain subtractions move a value by at most 2^n * 2^31 <= 2^55
+    for n <= 24, so the int64 intermediates cannot overflow."""
+    fold_subsets(a, np.subtract)
+    a %= p
+    return a
 
 
 def brute_kwise_ok(members, n, k):

@@ -324,6 +324,51 @@ def test_greedy_golden_output(case, capsys, tmp_path):
     assert (code, out, files) == (case["code"], case["stdout"], case["files"])
 
 
+def test_greedy_popcount_runs_once_for_every_seed(capsys, monkeypatch, tmp_path):
+    from kwise import search, verifier
+
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(search, "greedy_saturate")
+    count(verifier, "is_maximal_kwise")
+    argv = ("greedy", "--k", "3", "--n", "8", "--order", "popcount")
+    code, out, _ = run_cli(capsys, *argv, "--runs", "3", "--seed", "4", "--out", str(tmp_path))
+    assert code == 0 and calls == ["greedy_saturate", "is_maximal_kwise"]
+    # each row and file equals that of a single run with its seed
+    header, *rows = out.splitlines(keepends=True)
+    for seed, row in zip((4, 5, 6), rows, strict=True):
+        one = tmp_path / str(seed)
+        assert run_cli(capsys, *argv, "--seed", str(seed), "--out", str(one))[1] == header + row
+        name = f"greedy_k3_n8_seed{seed}.txt"
+        assert (tmp_path / name).read_bytes() == (one / name).read_bytes()
+    calls.clear()
+    run_cli(capsys, "greedy", "--k", "3", "--n", "8", "--runs", "3")
+    assert calls == ["greedy_saturate", "is_maximal_kwise"] * 3
+
+
+def test_distance_in_builds_no_family(capsys, monkeypatch, tmp_path):
+    from kwise import construction
+
+    path = tmp_path / "fam.txt"
+    path.write_text(write_family(build_family(ConstructionParams(4, 9)).f), encoding="utf-8")
+    want = run_cli(capsys, "distance", "--k", "4", "--n", "9")
+
+    def refuse(p):
+        raise AssertionError("distance --in built the construction family")
+
+    monkeypatch.setattr(construction, "build_family", refuse)
+    assert run_cli(capsys, "distance", "--k", "4", "--n", "9", "--in", str(path)) == want
+
+
 def test_distance_construction(capsys):
     code, out, _ = run_cli(capsys, "distance", "--k", "3", "--n", "8")
     header, row = out.strip().splitlines()
@@ -399,18 +444,25 @@ def test_shell_pipeline_construct_verify():
 
 # --- each command loads only what it runs --------------------------------------
 
-# Runs `kwise ARGV` through cli.main; with "block" first, every import of
-# numpy raises ImportError. The last stderr line is a dict literal: whether
-# numpy was loaded, whether the call loaded dataclasses (judged against what
-# the interpreter had loaded before kwise, so a site hook cannot count),
-# and the kwise modules loaded.
+# Runs `kwise ARGV` through cli.main, or with ARGV "library" the star import
+# and a cover table; with "block" first, every import of numpy raises
+# ImportError. The last stderr line is a dict literal: whether numpy was
+# loaded, whether the call loaded dataclasses (judged against what the
+# interpreter had loaded before kwise, so a site hook cannot count), and
+# the kwise modules loaded.
 _RUN_WITHOUT_NUMPY = """\
 import sys
 bare = set(sys.modules)
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
-from kwise.cli import main
-code = main(sys.argv[2:])
+if sys.argv[2:] == ["library"]:
+    from kwise import *
+    table = build_cover_table(downset_closure(Family(Universe(4), [0b0111, 0b1100])), 2)
+    print(list(table.sup), table.covering(0b1011), table.can_cover(0b1111, 2))
+    code = 0
+else:
+    from kwise.cli import main
+    code = main(sys.argv[2:])
 sys.stdout.flush()
 print({
     "numpy": sys.modules.get("numpy") is not None,
@@ -451,6 +503,7 @@ NO_NUMPY_CASES = [
      _NOT_ON_GREEDY),
     ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0, ()),
     ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0, ()),
+    ("library", ["library"], None, 0, ("kwise.cli",)),
 ]
 
 
@@ -470,7 +523,7 @@ def test_cli_runs_without_numpy(argv, edit, code, absent):
         assert run.returncode == code, run.stderr
         report = ast.literal_eval(run.stderr.splitlines()[-1])
         assert report["numpy"] is False
-        assert {"kwise", "kwise.cli"} <= set(report["kwise"])
+        assert "kwise" in report["kwise"]
         loaded = set(report["kwise"]) | ({"dataclasses"} if report["dataclasses"] else set())
         assert not loaded & set(absent), sorted(loaded & set(absent))
     assert runs["block"].stdout == runs["plain"].stdout != ""

@@ -20,6 +20,7 @@ from kwise import (
     size_table,
     submasks,
 )
+from kwise import search
 from kwise.search import (
     OracleResult,
     _downset_walk,
@@ -541,6 +542,23 @@ def test_size_table_greedy_column():
     (row,) = rows
     assert isinstance(row["greedy_min"], int)
     assert 1 <= row["greedy_min"] <= 1 << 7  # no maximal family beats the star bound
+
+
+def test_size_table_runs_popcount_greedy_once_per_cell(monkeypatch):
+    calls = []
+    original = search.greedy_saturate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["order"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, "greedy_saturate", counting)
+    rows = size_table([3, 4], [8], runs=4, base_seed=2, order="popcount")
+    assert calls == ["popcount"] * 2
+    assert rows == size_table([3, 4], [8], runs=1, order="popcount")
+    calls.clear()
+    size_table([3], [8], runs=4, order="random")
+    assert calls == ["random"] * 4
 
 
 def test_size_table_cell_4_9_with_greedy():

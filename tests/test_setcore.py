@@ -10,6 +10,7 @@ from kwise import (
     Universe,
     build_cover_table,
     complement_family,
+    cover_table_from_indicator,
     downset_closure,
     elements_of,
     is_downset,
@@ -18,13 +19,16 @@ from kwise import (
     maximal_elements,
     submasks,
 )
-from kwise.setcore import (
-    ALGEBRA_MAX_N,
+from kwise.setcore import ALGEBRA_MAX_N
+from oracles import (
     fold_subsets,
     fold_supersets,
     moebius_mod,
+    naive_is_downset,
+    naive_maximal_elements,
+    naive_min_cover,
+    superset_min,
 )
-from oracles import naive_is_downset, naive_maximal_elements, naive_min_cover
 
 
 def fam(u, *sets):
@@ -320,17 +324,17 @@ def test_fold_supersets_closure_and_min():
 def test_cover_table_tiny():
     u = Universe(2)
     t = build_cover_table(fam(u, (), (1,), (2,)), 2)
-    assert t.exact(0b11) == 2
-    assert t.exact(0b01) == 1
-    assert t.exact(0b00) == 0
+    assert t.covering(0b11) == 2
+    assert t.covering(0b01) == 1
+    assert t.covering(0b00) == 0
 
 
 def test_cover_table_powerset_j1():
     u = Universe(4)
     t = build_cover_table(Family(u, range(16)), 1)
-    assert t.exact(0) == 0
+    assert t.covering(0) == 0
     for m in range(1, 16):
-        assert t.exact(m) == 1
+        assert t.covering(m) == 1
 
 
 def test_cover_table_input_validation():
@@ -347,6 +351,17 @@ def test_cover_table_input_validation():
         build_cover_table(big, 2)
 
 
+def test_cover_table_from_indicator_takes_any_01_sequence():
+    u = Universe(4)
+    f = downset_closure(fam(u, (1, 2), (3,), (2, 4)))
+    want = build_cover_table(f, 3).sup
+    ind = [int(m in f) for m in range(16)]
+    for seq in (ind, bytes(ind), np.array(ind), np.array(ind, dtype=bool)):
+        assert cover_table_from_indicator(seq, u, 3).sup == want
+    empty = cover_table_from_indicator([0] * 16, u, 2)
+    assert empty.covering(0) == 0 and empty.covering(1) is None
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_cover_table_matches_naive_enumeration(seed):
     rng = random.Random(seed)
@@ -356,8 +371,8 @@ def test_cover_table_matches_naive_enumeration(seed):
         f = Family(f.universe, [0])
     j_max = rng.randint(1, 4)
     table = build_cover_table(f, j_max)
-    naive = naive_min_cover(f.members, n, j_max)
-    assert np.array_equal(table.min_cover, naive)
+    naive = superset_min(naive_min_cover(f.members, n, j_max))
+    assert bytes(table.sup) == naive.tobytes()
 
 
 def test_cover_table_sup_is_superset_min():
@@ -366,13 +381,11 @@ def test_cover_table_sup_is_superset_min():
     if not f.members:
         f = Family(f.universe, [0])
     t = build_cover_table(f, 3)
+    naive = naive_min_cover(f.members, 6, 3)
     for m in range(1 << 6):
-        best = min(
-            int(t.min_cover[s])
-            for s in range(1 << 6)
-            if s & m == m
-        )
-        assert int(t.sup[m]) == best
+        best = min(int(naive[s]) for s in range(1 << 6) if s & m == m)
+        assert t.sup[m] == best
+        assert t.covering(m) == (None if best == t.NONE else best)
 
 
 # --- the cover searcher -----------------------------------------------------

@@ -25,8 +25,14 @@ from kwise import (
 )
 from kwise import verifier
 from kwise.search import maximal_arity_range
-from kwise.setcore import fold_subsets, fold_supersets, moebius_mod
-from oracles import brute_first_unsaturated, brute_kwise_ok, completable
+from oracles import (
+    brute_first_unsaturated,
+    brute_kwise_ok,
+    completable,
+    fold_subsets,
+    fold_supersets,
+    moebius_mod,
+)
 
 
 def random_family(rng, n, max_members=12):
