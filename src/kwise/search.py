@@ -10,19 +10,20 @@ The oracle, the greedy and maximal_arity_range read cover numbers from
 the cover-level words of setcore (level t holds the masks that at most t
 members cover), never from the verifier. Two cover numbers read from the
 levels give the whole interval of arities at which a family is maximal, so
-one down-set walk per n answers every k.
+one down-set walk per n answers every k. The greedy holds no member set:
+it grows the levels at each mask it must, finding the next one in popcount
+order from the popcount-layer words, and returns level 1.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import TYPE_CHECKING, NamedTuple
 
 from .setcore import (
     Family,
-    SetMask,
     Universe,
     _arity_range,
     _cover_levels,
@@ -30,6 +31,8 @@ from .setcore import (
     _low_words,
     _member_word,
     _record,
+    _reversed_word,
+    _spelled,
     _word_bits,
     complement_family,
     maximal_elements,
@@ -116,11 +119,7 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
     if u.n > DOWNSET_MAX_N:
         raise ValueError(f"down-set enumeration needs n <= {DOWNSET_MAX_N}, got n={u.n}")
     for d, _, _ in _downset_walk(u.n):
-        yield _family_of_word(u, d)
-
-
-def _family_of_word(u: Universe, d: int) -> Family:
-    return Family(u, _word_bits(d))
+        yield Family(u, _word_bits(d))
 
 
 def maximal_arity_range(g: Family) -> tuple[float, float]:
@@ -167,7 +166,7 @@ def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
     return {
         k: OracleResult(
             k, u.n, best[k].bit_count(), count[k],
-            complement_family(_family_of_word(u, best[k])),
+            complement_family(Family(u, _word_bits(best[k]))),
         )
         for k in count
     }
@@ -186,9 +185,10 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     Candidate masks are scanned in a seed-determined order ("random" is a
     seeded shuffle of all masks, "popcount" visits larger sets first with
     ties by mask value); each mask that no k - 1 members complete to the
-    full set is added, which keeps the no-k-cover property. Cover numbers
-    only fall as members are added, so one pass decides every candidate
-    exactly.
+    full set is added. A mask under a member always is, and changes no
+    level; any other x is added iff full ^ x misses level min(k - 1, n), and
+    grows the levels. Levels only grow, so one pass decides each mask, and
+    the result is level 1: the down-closure of the seed and the grown masks.
     """
     u = g0.universe
     if u.n > GREEDY_MAX_N:
@@ -201,11 +201,7 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     low = tuple(_low_words(u.n))
     tops = maximal_elements(g0).members
     levels = _cover_levels(tops, min(k - 1, u.n), low)
-    # c only falls, so a rejected candidate stays rejected: one pass. Levels
-    # 1 and k - 1 are read through bytes snapshots, one O(1) index per test,
-    # refreshed after each insert of a mask that no member contains
     nbytes = (size + 7) // 8
-    one = levels[1].to_bytes(nbytes, "little")
     top = levels[-1].to_bytes(nbytes, "little")
     # the seed is k-wise iff no top x has c(full ^ x) <= k - 1. A generator
     # here would make top and full closure cells and slow the scan below
@@ -214,31 +210,38 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         if top[t >> 3] >> (t & 7) & 1:
             raise ValueError("seed family is not k-wise intersecting in the complement world")
     if order == "random":
+        # levels 1 and k - 1 as bytes snapshots: one O(1) index per test
         cand = list(range(size))
         random.Random(order_seed).shuffle(cand)
-    elif order == "popcount":
-        cand = _popcount_order(u.n)
-    else:
-        raise ValueError(f"unknown candidate order {order!r}")
-
-    members: set[SetMask] = set(g0.members)
-    for x in cand:
-        t = full ^ x
-        if top[t >> 3] >> (t & 7) & 1 or x in members:
-            continue
-        members.add(x)
-        if not one[x >> 3] >> (x & 7) & 1:
+        one = levels[1].to_bytes(nbytes, "little")
+        for x in cand:
+            t = full ^ x
+            if top[t >> 3] >> (t & 7) & 1 or one[x >> 3] >> (x & 7) & 1:
+                continue
             levels = _grow(levels, x, low)
             one = levels[1].to_bytes(nbytes, "little")
             top = levels[-1].to_bytes(nbytes, "little")
-    return Family(u, members)
+    elif order == "popcount":
+        # the open masks, in no level 1 and with full ^ x in no level k - 1,
+        # only shrink, so each grow is the first open mask of the order: the
+        # lowest one in the highest popcount layer that still has one
+        shut = levels[1] | _reversed_word(levels[-1], size)
+        for layer in reversed(_popcount_layers(u.n)):
+            while open_ := layer & ~shut:
+                levels = _grow(levels, (open_ & -open_).bit_length() - 1, low)
+                shut = levels[1] | _reversed_word(levels[-1], size)
+    else:
+        raise ValueError(f"unknown candidate order {order!r}")
+    return Family(u, compress(range(size), _spelled(levels[1], size)))
 
 
-def _popcount_order(n: int) -> list[SetMask]:
-    """All 2^n masks, larger popcount first, ties by ascending mask value:
-    Python's sort is stable under reverse=True, so equal popcounts keep the
-    ascending order of range."""
-    return sorted(range(1 << n), key=int.bit_count, reverse=True)
+def _popcount_layers(n: int) -> list[int]:
+    """Words of the masks with exactly p set bits, p = 0 .. n: a shift by
+    2^i moves each mask below 2^i to its copy with bit i, one layer up."""
+    layers = [1]
+    for i in range(n):
+        layers = [a | b << (1 << i) for a, b in zip([*layers, 0], [0, *layers])]
+    return layers
 
 
 def cube_distance(f: Family, bp: BlockPartition) -> CubeReport:

@@ -6,8 +6,9 @@ The down-set test and the maximal elements are loops over the members and
 their frozenset index, with no 2^n table, so they hold for every n <= 62.
 Whole-lattice passes work on Python-int words over the 2^n masks, bit p
 standing for mask p: _member_word packs masks into a word, _word_bits
-unpacks one, and _low_words gives LOW_i, the masks lacking bit i, so that
-(word & LOW_i) << 2^i moves each such mask x to x | 2^i.
+unpacks a sparse one, _spelled spells one as 0/1 bytes, _reversed_word
+moves bit x to bit full ^ x, and _low_words gives LOW_i, the masks lacking
+bit i, so that (word & LOW_i) << 2^i moves each such mask x to x | 2^i.
 Both cover engines live here. CoverSearcher finds a cover of one mask by
 few members through a memoised branch-and-bound search. The cover levels
 hold every mask's cover number at once: level t is the word of the masks
@@ -35,6 +36,7 @@ COVER_MAX_J = 8
 
 _NONE = 255
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _record(cls):
@@ -267,6 +269,18 @@ def _word_bits(word: int) -> list[SetMask]:
     return out
 
 
+def _spelled(word: int, size: int) -> bytes:
+    """One 0/1 byte per mask p < size, byte p spelling bit p of word."""
+    return format(word, f"0{size}b")[::-1].encode().translate(_BIT_BYTES)
+
+
+def _reversed_word(word: int, size: int) -> int:
+    """The size-bit word with bit size - 1 - p set for each bit p of word;
+    over the 2^n masks, bit x moves to bit full ^ x."""
+    flipped = word.to_bytes(-(-size // 8), "little").translate(_REVERSED_BYTES)
+    return int.from_bytes(flipped, "big") >> -size % 8
+
+
 def _grow(levels: Sequence[int], x: SetMask, low: Sequence[int]) -> tuple[int, ...]:
     """Cover levels after adding mask x. Level t holds the masks T with
     c(T) <= t, c(T) being the fewest members whose union contains T, so
@@ -335,13 +349,9 @@ class CoverTable:
         """
         if self._sup is None:
             size = self.universe.num_masks
-            present = 0
-            for level in self.levels:
-                spelled = format(level, f"0{size}b").encode().translate(_BIT_BYTES)
-                present += int.from_bytes(spelled, "big")
+            present = sum(int.from_bytes(_spelled(level, size), "little") for level in self.levels)
             number = bytes([_NONE, *range(self.limit, -1, -1)]).ljust(256, b"\0")
-            # byte i of the big-endian spelling stands for mask size - 1 - i
-            self._sup = present.to_bytes(size, "big")[::-1].translate(number)
+            self._sup = present.to_bytes(size, "little").translate(number)
         return self._sup
 
     def covering(self, m: SetMask) -> int | None:

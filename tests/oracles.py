@@ -1,12 +1,21 @@
 """Brute-force reference oracles, deliberately independent of the library's
-cover levels and search machinery, and the numpy lattice folds that the
-modular-count tests use."""
+cover levels and search machinery, the numpy lattice folds that the
+modular-count tests use, and scan_greedy, the one-candidate-at-a-time
+greedy that the level-word greedy replaced."""
 
+import random
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from kwise.setcore import Family, downset_closure
+from kwise.setcore import (
+    Family,
+    _cover_levels,
+    _grow,
+    _low_words,
+    downset_closure,
+    maximal_elements,
+)
 
 
 def naive_min_cover(members, n, j_max):
@@ -165,3 +174,36 @@ def lex_antichain_downsets(u):
                 tops.pop()
 
     yield from extend([], 0)
+
+
+def scan_greedy(g0, k, order_seed, order):
+    """Members of the greedy result by a scan that tests every candidate in
+    turn against bytes snapshots of cover levels 1 and min(k - 1, n),
+    keeping a member set. It shares the cover levels and maximal_elements
+    with the library, both checked against brute force elsewhere, and
+    serves as a reference where the brute-force greedy is out of reach."""
+    n, full = g0.universe.n, g0.universe.full
+    size, nbytes = 1 << n, ((1 << n) + 7) // 8
+    low = tuple(_low_words(n))
+    tops = maximal_elements(g0).members
+    levels = _cover_levels(tops, min(k - 1, n), low)
+    one = levels[1].to_bytes(nbytes, "little")
+    top = levels[-1].to_bytes(nbytes, "little")
+    if any(top[(full ^ x) >> 3] >> ((full ^ x) & 7) & 1 for x in tops):
+        raise ValueError("seed family is not k-wise intersecting in the complement world")
+    cand = list(range(size))
+    if order == "random":
+        random.Random(order_seed).shuffle(cand)
+    else:
+        cand.sort(key=lambda m: (-m.bit_count(), m))
+    members = set(g0.members)
+    for x in cand:
+        t = full ^ x
+        if top[t >> 3] >> (t & 7) & 1 or x in members:
+            continue
+        members.add(x)
+        if not one[x >> 3] >> (x & 7) & 1:
+            levels = _grow(levels, x, low)
+            one = levels[1].to_bytes(nbytes, "little")
+            top = levels[-1].to_bytes(nbytes, "little")
+    return members

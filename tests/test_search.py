@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import cache
 from itertools import combinations
 
@@ -25,16 +26,17 @@ from kwise.search import (
     OracleResult,
     _downset_walk,
     _oracle_results,
-    _popcount_order,
+    _popcount_layers,
     maximal_arity_range,
 )
-from kwise.setcore import _grow, _low_words, complement_family, maximal_elements
+from kwise.setcore import _grow, _low_words, _word_bits, complement_family, maximal_elements
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
     brute_kwise_ok,
     completable,
     lex_antichain_downsets,
+    scan_greedy,
 )
 
 
@@ -305,8 +307,9 @@ def test_greedy_popcount_order():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_popcount_order_is_larger_sets_first_then_ascending(n):
+    # the popcount order reads the layer words from the highest popcount down
     want = sorted(range(1 << n), key=lambda m: (-m.bit_count(), m))
-    assert _popcount_order(n) == want
+    assert [m for layer in reversed(_popcount_layers(n)) for m in _word_bits(layer)] == want
 
 
 def test_greedy_rejects_bad_seed_family():
@@ -454,6 +457,56 @@ def test_greedy_matches_reference_from_large_seed():
         _greedy_cell(members, 9, 4, order, order_seed)
     # a seed that is not a down-set: the same, less the empty set
     _greedy_cell(members - {0}, 9, 4, "random", 11)
+
+
+def _unclosed_seed(rng, n, k):
+    """A k-wise seed of a few random masks that is not a down-set."""
+    while True:
+        members = {rng.getrandbits(n) & rng.getrandbits(n) for _ in range(3)}
+        g = Family(Universe(n), members)
+        if not is_downset(g) and brute_kwise_ok(sorted(members), n, k):
+            return g
+
+
+def _greedy_outcome(greedy, g0, k, order_seed, order):
+    try:
+        return set(greedy(g0, k, order_seed, order=order))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_greedy_matches_scan_greedy_at_larger_n():
+    # from the empty family, from a k-wise seed that is not a down-set, and
+    # from a seed with c(full) = k, which both greedies refuse alike
+    rng = random.Random(17)
+    refused = 0
+    for n in (12, 14, 16):
+        for k in range(2, 6):
+            seeds = (Family(Universe(n)), _unclosed_seed(rng, n, k), _partition_seed(rng, n, k))
+            for g0 in seeds:
+                for order in ("random", "popcount"):
+                    order_seed = rng.randrange(1000)
+                    got, want = (_greedy_outcome(greedy, g0, k, order_seed, order)
+                                 for greedy in (greedy_saturate, scan_greedy))
+                    assert got == want, (n, k, g0.members, order, order_seed)
+                    refused += isinstance(want, str)
+    assert refused == 3 * 4 * 2
+
+
+def test_greedy_peak_memory_stays_near_its_result():
+    # the greedy keeps a few 2^n-bit words beside the family it returns,
+    # so its peak stays close to what the result retains
+    greedy_saturate(Family(Universe(4)), 3, 0, order="popcount")
+    g0 = Family(Universe(16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = greedy_saturate(g0, 3, 0, order="popcount")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 1 << 15
+    assert peak - base <= 1.5 * (retained - base)
 
 
 # --- cube distance -----------------------------------------------------------
