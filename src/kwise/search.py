@@ -8,17 +8,17 @@ Only size_table and minimize_cube_distance import construction, so the
 greedy and the oracle load neither it nor dataclasses.
 The oracle, the greedy and maximal_arity_range read cover numbers from
 the cover-level words of setcore (level t holds the masks that at most t
-members cover), never from the verifier. Two cover numbers read from the
-levels give the whole interval of arities at which a family is maximal, so
-one down-set walk per n answers every k. The greedy holds no member set:
-it grows the levels at each mask it must, finding the next one in popcount
-order from the popcount-layer words, and returns level 1.
+members cover, so level 1 is the down-closure), never from the verifier.
+Two cover numbers give the arities at which a family is maximal, so one
+down-set walk per n, reading each down-set off level 1, answers every k.
+The greedy holds no member set: it checks its seed with one AND of level 1
+and the reversed level k - 1, grows the levels at each mask it must, and
+returns level 1; popcount order finds each mask in the popcount layers.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import combinations, compress
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -35,7 +35,6 @@ from .setcore import (
     _spelled,
     _word_bits,
     complement_family,
-    maximal_elements,
 )
 
 if TYPE_CHECKING:
@@ -69,7 +68,6 @@ class CubeReport(NamedTuple):
     distance: int
 
 
-@lru_cache(maxsize=None)
 def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Python-int words over the 2^n masks, bit p standing for mask p:
     DOWN[m] holds the subsets of m and RDOWN[m] their complements full ^ s."""
@@ -88,24 +86,24 @@ def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
 
     Antichains of tops are extended in lexicographic mask order, and a
     child differs from its parent by one new top m, added to the cover
-    levels 0..n by _grow.
+    levels 0..n by _grow. A node's down-set is its level 1 (empty for no
+    tops); it carries the reversed down-set, the complement of its gaps.
     """
     down, rdown = _word_tables(n)
     low = tuple(_low_words(n))
     size, full = 1 << n, (1 << n) - 1
     every = (1 << size) - 1
-    # (tops, down-set, reversed down-set, cover levels 0..n, next candidate)
-    stack = [(0, 0, 0, (1,) * (n + 1), 0)]
+    # (tops, reversed down-set, cover levels 0..n, next candidate)
+    stack = [(0, 0, (1,) * (n + 1), 0)]
     while stack:
-        tops, d, r, levels, start = stack.pop()
-        yield (d, *_arity_range(levels, every & ~r, full))
+        tops, r, levels, start = stack.pop()
+        yield (levels[1] if tops else 0, *_arity_range(levels, every & ~r, full))
         children = []
         for m in range(start, size):
             # m exceeds every top, so only a top under m makes them comparable
             if down[m] & tops:
                 continue
-            grown = _grow(levels, m, low)
-            children.append((tops | 1 << m, d | down[m], r | rdown[m], grown, m + 1))
+            children.append((tops | 1 << m, r | rdown[m], _grow(levels, m, low), m + 1))
         stack.extend(reversed(children))
 
 
@@ -135,12 +133,13 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
     alone, as in the oracle's down-set walk. The words have 2^n bits, so n
     must be at most TABLE_MAX_N.
     """
-    g.universe.require_table()
-    n, full = g.universe.n, g.universe.full
-    levels = _cover_levels(maximal_elements(g).members, n, tuple(_low_words(n)))
-    # bit full ^ x of the word is set for each member x; gaps are the rest
-    gaps = _member_word((full ^ x for x in g.members), n) ^ ((1 << g.universe.num_masks) - 1)
-    lo, hi = _arity_range(levels, gaps, full)
+    u = g.universe
+    u.require_table()
+    n, size = u.n, u.num_masks
+    levels = _cover_levels(g, n, tuple(_low_words(n)))
+    # the reversed member word sets bit full ^ x for each member x
+    gaps = ~_reversed_word(_member_word(g.members, n), size) & ((1 << size) - 1)
+    lo, hi = _arity_range(levels, gaps, u.full)
     return float(lo), float(hi)
 
 
@@ -189,31 +188,32 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     level; any other x is added iff full ^ x misses level min(k - 1, n), and
     grows the levels. Levels only grow, so one pass decides each mask, and
     the result is level 1: the down-closure of the seed and the grown masks.
+    The seed is k-wise iff level 1 misses the reversed level k - 1.
     """
     u = g0.universe
     if u.n > GREEDY_MAX_N:
         raise ValueError(f"greedy saturation needs n <= {GREEDY_MAX_N}, got n={u.n}")
     if k < 2:
         raise ValueError(f"arity k must be >= 2, got {k}")
+    if order not in ("random", "popcount"):
+        raise ValueError(f"unknown candidate order {order!r}")
     size, full = u.num_masks, u.full
     # c(T) > k - 1 exactly when T misses level min(k - 1, n), since a cover
-    # never needs more than n members; the levels depend only on the tops
+    # never needs more than n members
     low = tuple(_low_words(u.n))
-    tops = maximal_elements(g0).members
-    levels = _cover_levels(tops, min(k - 1, u.n), low)
-    nbytes = (size + 7) // 8
-    top = levels[-1].to_bytes(nbytes, "little")
-    # the seed is k-wise iff no top x has c(full ^ x) <= k - 1. A generator
-    # here would make top and full closure cells and slow the scan below
-    for x in tops:
-        t = full ^ x
-        if top[t >> 3] >> (t & 7) & 1:
-            raise ValueError("seed family is not k-wise intersecting in the complement world")
+    levels = _cover_levels(g0, min(k - 1, u.n), low)
+    # bit x of rev is set iff c(full ^ x) <= k - 1, an up-set, so level 1
+    # (the seed's down-closure) meets rev iff some member is in it
+    rev = _reversed_word(levels[-1], size)
+    if levels[1] & rev:
+        raise ValueError("seed family is not k-wise intersecting in the complement world")
     if order == "random":
         # levels 1 and k - 1 as bytes snapshots: one O(1) index per test
         cand = list(range(size))
         random.Random(order_seed).shuffle(cand)
+        nbytes = (size + 7) // 8
         one = levels[1].to_bytes(nbytes, "little")
+        top = levels[-1].to_bytes(nbytes, "little")
         for x in cand:
             t = full ^ x
             if top[t >> 3] >> (t & 7) & 1 or one[x >> 3] >> (x & 7) & 1:
@@ -221,17 +221,15 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
             levels = _grow(levels, x, low)
             one = levels[1].to_bytes(nbytes, "little")
             top = levels[-1].to_bytes(nbytes, "little")
-    elif order == "popcount":
+    else:
         # the open masks, in no level 1 and with full ^ x in no level k - 1,
         # only shrink, so each grow is the first open mask of the order: the
         # lowest one in the highest popcount layer that still has one
-        shut = levels[1] | _reversed_word(levels[-1], size)
+        shut = levels[1] | rev
         for layer in reversed(_popcount_layers(u.n)):
             while open_ := layer & ~shut:
                 levels = _grow(levels, (open_ & -open_).bit_length() - 1, low)
                 shut = levels[1] | _reversed_word(levels[-1], size)
-    else:
-        raise ValueError(f"unknown candidate order {order!r}")
     return Family(u, compress(range(size), _spelled(levels[1], size)))
 
 

@@ -12,7 +12,7 @@ bit i, so that (word & LOW_i) << 2^i moves each such mask x to x | 2^i.
 Both cover engines live here. CoverSearcher finds a cover of one mask by
 few members through a memoised branch-and-bound search. The cover levels
 hold every mask's cover number at once: level t is the word of the masks
-that at most t members cover, grown one member at a time by _grow.
+that at most t members cover, grown by _grow from each maximal member.
 CoverTable is a byte-per-mask view of levels 0..limit that no command or
 library path builds; the benchmark's tracer patches its names.
 _record gives the NamedTuple result types of verifier and search the
@@ -133,13 +133,14 @@ class Family:
     __slots__ = ("universe", "members", "_index")
 
     def __init__(self, universe: Universe, masks: Iterable[SetMask] = ()) -> None:
-        members = tuple(sorted(set(masks)))
+        index = frozenset(masks)
+        members = tuple(sorted(index))
         if members:
             universe.check_mask(members[0])
             universe.check_mask(members[-1])
         self.universe = universe
         self.members = members
-        self._index = frozenset(members)
+        self._index = index
 
     def __contains__(self, m: object) -> bool:
         return m in self._index
@@ -297,11 +298,11 @@ def _grow(levels: Sequence[int], x: SetMask, low: Sequence[int]) -> tuple[int, .
     return tuple(grown)
 
 
-def _cover_levels(tops: Iterable[SetMask], depth: int, low: Sequence[int]) -> tuple[int, ...]:
-    """Cover levels 0..depth of a family from its maximal members alone
-    (the others change no level); low is tuple(_low_words(n))."""
+def _cover_levels(f: Family, depth: int, low: Sequence[int]) -> tuple[int, ...]:
+    """Cover levels 0..depth of a family; low is tuple(_low_words(n)). Only
+    the maximal members change a level, so only they are grown."""
     levels = (1,) * (depth + 1)
-    for x in tops:
+    for x in maximal_elements(f).members:
         levels = _grow(levels, x, low)
     return levels
 
@@ -385,7 +386,7 @@ def cover_table_from_indicator(ind: Sequence[int], u: Universe, j_max: int) -> C
         raise ValueError(f"j_max must be in 1..{COVER_MAX_J}, got {j_max}")
     flags = ind if isinstance(ind, (bytes, bytearray)) else bytes(map(bool, ind))
     f = Family(u, (hit.start() for hit in re.finditer(rb"[^\x00]", flags)))
-    levels = _cover_levels(maximal_elements(f).members, j_max, tuple(_low_words(u.n)))
+    levels = _cover_levels(f, j_max, tuple(_low_words(u.n)))
     return CoverTable(u, j_max, levels)
 
 

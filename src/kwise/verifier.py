@@ -169,6 +169,6 @@ def verify_witness(v: Verdict, g: Family, k: int) -> bool:
         u.check_mask(w.mask)
         if w.mask in g:
             return False
-        levels = _cover_levels(maximal_elements(g).members, min(k - 1, u.n), tuple(_low_words(u.n)))
+        levels = _cover_levels(g, min(k - 1, u.n), tuple(_low_words(u.n)))
         return not levels[-1] >> (full ^ w.mask) & 1
     raise TypeError(f"unsupported witness type {type(w).__name__}")

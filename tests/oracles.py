@@ -186,7 +186,7 @@ def scan_greedy(g0, k, order_seed, order):
     size, nbytes = 1 << n, ((1 << n) + 7) // 8
     low = tuple(_low_words(n))
     tops = maximal_elements(g0).members
-    levels = _cover_levels(tops, min(k - 1, n), low)
+    levels = _cover_levels(g0, min(k - 1, n), low)
     one = levels[1].to_bytes(nbytes, "little")
     top = levels[-1].to_bytes(nbytes, "little")
     if any(top[(full ^ x) >> 3] >> ((full ^ x) & 7) & 1 for x in tops):

@@ -29,7 +29,14 @@ from kwise.search import (
     _popcount_layers,
     maximal_arity_range,
 )
-from kwise.setcore import _grow, _low_words, _word_bits, complement_family, maximal_elements
+from kwise.setcore import (
+    _cover_levels,
+    _grow,
+    _low_words,
+    _word_bits,
+    complement_family,
+    maximal_elements,
+)
 from oracles import (
     brute_downset_indicators,
     brute_first_unsaturated,
@@ -99,6 +106,28 @@ def test_cover_levels_match_definition():
             inserted.append(x)
             want = _levels_of(_literal_cover_numbers(inserted, n, cap), cap)
             assert levels == want, (n, cap, inserted)
+
+
+def test_cover_levels_of_a_family_match_growing_every_member():
+    # _cover_levels grows only the maximal members, which must give the
+    # levels of all of them: down-sets or not, repeated and nested masks
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 8))]
+        masks += [m & rng.randrange(1 << n) for m in masks[:3]] + masks[:2]
+        if rng.random() < 0.25:
+            masks = [s for m in masks for s in submasks(m)]
+        f = Family(Universe(n), masks)
+        low = tuple(_low_words(n))
+        for depth in {1, 2, n}:
+            want = (1,) * (depth + 1)
+            for x in f.members:
+                want = _grow(want, x, low)
+            assert _cover_levels(f, depth, low) == want, (n, depth, masks)
+        seen.add((is_downset(f), len(maximal_elements(f)) < len(f)))
+    assert len(seen) == 4  # down-set or not, with members under others or not
 
 
 # --- down-set enumeration ----------------------------------------------------
@@ -322,6 +351,14 @@ def test_greedy_rejects_bad_seed_family():
         greedy_saturate(Family(u), 1, 0)
     with pytest.raises(ValueError):
         greedy_saturate(Family(u), 3, 0, order="sideways")
+
+
+def test_greedy_rejects_unknown_order_before_the_seed_check():
+    # the order is checked with n and k, so a seed that is not k-wise does
+    # not hide it
+    u = Universe(4)
+    with pytest.raises(ValueError, match="^unknown candidate order 'bogus'$"):
+        greedy_saturate(Family(u, [u.full]), 3, 0, order="bogus")
 
 
 def _partition_seed(rng, n, j):
