@@ -75,7 +75,12 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_verify.add_argument("input_path", metavar="family", nargs="?", default="-",
                           help="family file, - for stdin")
     p_verify.add_argument("--k", type=int, required=True)
-    p_verify.add_argument("--world", choices=("direct", "complement"), default="complement")
+    p_verify.add_argument(
+        "--world", choices=("direct", "complement"), default="complement",
+        help="world of the family file; witness masks are complement-world either way: "
+             "a cover lists complements full ^ m of members m; a gap x means full ^ x "
+             "can be added",
+    )
     p_verify.add_argument(
         "--backend", choices=("dp", "tuples", "both", "auto"), default="auto",
         help="accepted for compatibility and echoed in the output; every value runs "

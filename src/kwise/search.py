@@ -12,14 +12,15 @@ members cover, so level 1 is the down-closure), never from the verifier.
 Two cover numbers give the arities at which a family is maximal, so one
 down-set walk per n, reading each down-set off level 1, answers every k.
 The greedy holds no member set: it checks its seed with one AND of level 1
-and the reversed level k - 1, grows the levels at each mask it must, and
-returns level 1; popcount order finds each mask in the popcount layers.
+and the reversed level k - 1, feeds its candidates (one shuffled run, or one
+run per popcount layer) to one loop that grows the levels at each open
+mask, and returns level 1.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, compress
+from itertools import combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .setcore import (
@@ -32,7 +33,6 @@ from .setcore import (
     _member_word,
     _record,
     _reversed_word,
-    _spelled,
     _word_bits,
     complement_family,
 )
@@ -68,18 +68,6 @@ class CubeReport(NamedTuple):
     distance: int
 
 
-def _word_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Python-int words over the 2^n masks, bit p standing for mask p:
-    DOWN[m] holds the subsets of m and RDOWN[m] their complements full ^ s."""
-    full = (1 << n) - 1
-    down, rdown = [1], [1 << full]
-    for m in range(1, 1 << n):
-        b = m & -m  # s | b == s + b for every subset s of m ^ b
-        down.append(down[m ^ b] | down[m ^ b] << b)
-        rdown.append(rdown[m ^ b] | rdown[m ^ b] >> b)
-    return tuple(down), tuple(rdown)
-
-
 def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
     """Every down-set over [n] once, as (down-set word, lo, hi) with lo and
     hi as in maximal_arity_range.
@@ -89,9 +77,10 @@ def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
     levels 0..n by _grow. A node's down-set is its level 1 (empty for no
     tops); it carries the reversed down-set, the complement of its gaps.
     """
-    down, rdown = _word_tables(n)
     low = tuple(_low_words(n))
     size, full = 1 << n, (1 << n) - 1
+    down = [_grow((1, 1), m, low)[1] for m in range(size)]  # the subsets of m
+    rdown = [_reversed_word(d, size) for d in down]
     every = (1 << size) - 1
     # (tops, reversed down-set, cover levels 0..n, next candidate)
     stack = [(0, 0, (1,) * (n + 1), 0)]
@@ -208,29 +197,30 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     if levels[1] & rev:
         raise ValueError("seed family is not k-wise intersecting in the complement world")
     if order == "random":
-        # levels 1 and k - 1 as bytes snapshots: one O(1) index per test
-        cand = list(range(size))
-        random.Random(order_seed).shuffle(cand)
-        nbytes = (size + 7) // 8
-        one = levels[1].to_bytes(nbytes, "little")
-        top = levels[-1].to_bytes(nbytes, "little")
-        for x in cand:
+        runs = [list(range(size))]
+        random.Random(order_seed).shuffle(runs[0])
+    else:
+        # one run per popcount layer, from the top: the layer's open masks,
+        # in no level 1 and with full ^ x in no level k - 1, read when the
+        # run starts. Open masks only close, so the test below drops the
+        # ones that an earlier grow in the run closed, and skips no other.
+        runs = (
+            _word_bits(layer & ~(levels[1] | _reversed_word(levels[-1], size)))
+            for layer in reversed(_popcount_layers(u.n))
+        )
+    # levels 1 and k - 1 as bytes snapshots: one O(1) index per test
+    nbytes = (size + 7) // 8
+    one = levels[1].to_bytes(nbytes, "little")
+    top = levels[-1].to_bytes(nbytes, "little")
+    for run in runs:
+        for x in run:
             t = full ^ x
             if top[t >> 3] >> (t & 7) & 1 or one[x >> 3] >> (x & 7) & 1:
                 continue
             levels = _grow(levels, x, low)
             one = levels[1].to_bytes(nbytes, "little")
             top = levels[-1].to_bytes(nbytes, "little")
-    else:
-        # the open masks, in no level 1 and with full ^ x in no level k - 1,
-        # only shrink, so each grow is the first open mask of the order: the
-        # lowest one in the highest popcount layer that still has one
-        shut = levels[1] | rev
-        for layer in reversed(_popcount_layers(u.n)):
-            while open_ := layer & ~shut:
-                levels = _grow(levels, (open_ & -open_).bit_length() - 1, low)
-                shut = levels[1] | _reversed_word(levels[-1], size)
-    return Family(u, compress(range(size), _spelled(levels[1], size)))
+    return Family(u, _word_bits(levels[1]))
 
 
 def _popcount_layers(n: int) -> list[int]:

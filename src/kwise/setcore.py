@@ -6,7 +6,7 @@ The down-set test and the maximal elements are loops over the members and
 their frozenset index, with no 2^n table, so they hold for every n <= 62.
 Whole-lattice passes work on Python-int words over the 2^n masks, bit p
 standing for mask p: _member_word packs masks into a word, _word_bits
-unpacks a sparse one, _spelled spells one as 0/1 bytes, _reversed_word
+lazily unpacks one, _spelled spells one as 0/1 bytes, _reversed_word
 moves bit x to bit full ^ x, and _low_words gives LOW_i, the masks lacking
 bit i, so that (word & LOW_i) << 2^i moves each such mask x to x | 2^i.
 Both cover engines live here. CoverSearcher finds a cover of one mask by
@@ -22,6 +22,7 @@ equality of a frozen dataclass without loading dataclasses.
 from __future__ import annotations
 
 import re
+from itertools import chain, compress
 from math import inf
 from typing import TYPE_CHECKING
 
@@ -258,16 +259,16 @@ def _member_word(masks: Iterable[SetMask], n: int) -> int:
     return int.from_bytes(taken, "little")
 
 
-def _word_bits(word: int) -> list[SetMask]:
-    """Ascending set-bit positions of a nonnegative word; runs of zero bytes
-    are skipped at C speed, so a sparse 2^n-bit word costs one scan."""
+def _word_bits(word: int) -> Iterator[SetMask]:
+    """Ascending set-bit positions of a nonnegative word, lazily. Runs of
+    zero bytes are skipped and each other run is spelled and compressed, all
+    at C speed, so sparse and dense 2^n-bit words both cost one scan."""
     data = word.to_bytes((word.bit_length() + 7) // 8, "little")
-    out = []
-    for run in re.finditer(rb"[^\x00]+", data):
-        for i in range(run.start(), run.end()):
-            byte = data[i]
-            out += [i << 3 | b for b in range(8) if byte >> b & 1]
-    return out
+    return chain.from_iterable(
+        compress(range(run.start() << 3, run.end() << 3),
+                 _spelled(int.from_bytes(run[0], "little"), len(run[0]) << 3))
+        for run in re.finditer(rb"[^\x00]+", data)
+    )
 
 
 def _spelled(word: int, size: int) -> bytes:

@@ -99,7 +99,7 @@ def _border(g: Family) -> tuple[list[SetMask], bool]:
     closed = (1 << g.universe.num_masks) - 1
     for i, low in enumerate(_low_words(n)):
         closed &= low | member << (1 << i)
-    return _word_bits(closed & ~member), (closed & member) == member
+    return list(_word_bits(closed & ~member)), (closed & member) == member
 
 
 def check_saturated(g: Family, k: int) -> Verdict:

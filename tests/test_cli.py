@@ -186,6 +186,28 @@ def test_verify_direct_world_star(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["maximal"] is True
 
 
+def test_verify_direct_world_witnesses_are_complement_masks(capsys, monkeypatch):
+    # under --world direct the witness masks still live in the complement
+    # world: a cover lists the complements full ^ m of direct members m, and
+    # a gap x says that full ^ x could be added to the direct family
+    direct = {0b011, 0b101, 0b110}  # {1,2}, {1,3}, {2,3}: no common element
+    code, out, _ = _verify_stdin(
+        capsys, monkeypatch, "n=3\n1,2\n1,3\n2,3\n", "--k", "3", "--world", "direct"
+    )
+    verdict = json.loads(out)
+    assert code == 2 and verdict["failure"] == "not_kwise"
+    masks = [int(m, 16) for m in verdict["witness"]["masks"]]
+    assert masks == [0b001, 0b010, 0b100]
+    assert not direct & set(masks) and {0b111 ^ m for m in masks} == direct
+
+    code, out, _ = _verify_stdin(
+        capsys, monkeypatch, "n=3\n1,2,3\n", "--k", "2", "--world", "direct"
+    )
+    verdict = json.loads(out)
+    assert code == 3 and verdict["failure"] == "not_saturated"
+    assert verdict["witness"]["mask"] == "0x1"  # {2,3} = full ^ 0x1 can be added
+
+
 def test_verify_backend_both_agrees(capsys, monkeypatch):
     _, family_text, _ = run_cli(capsys, "construct", "--k", "4", "--n", "9")
     code, out, _ = _verify_stdin(

@@ -512,14 +512,24 @@ def _greedy_outcome(greedy, g0, k, order_seed, order):
         return str(exc)
 
 
+def _thinned_construction(k, n):
+    """The (k, n) construction less every third top: its popcount order
+    grows several times inside one layer (6 at (3, 12), 8 at (3, 16))."""
+    tops = maximal_elements(build_family(ConstructionParams(k, n)).f).members
+    return Family(Universe(n), (t for i, t in enumerate(tops) if i % 3 != 2))
+
+
 def test_greedy_matches_scan_greedy_at_larger_n():
-    # from the empty family, from a k-wise seed that is not a down-set, and
-    # from a seed with c(full) = k, which both greedies refuse alike
+    # from the empty family, from a k-wise seed that is not a down-set, from
+    # a seed with c(full) = k, which both greedies refuse alike, and for
+    # k >= 3 from a thinned construction
     rng = random.Random(17)
     refused = 0
     for n in (12, 14, 16):
         for k in range(2, 6):
             seeds = (Family(Universe(n)), _unclosed_seed(rng, n, k), _partition_seed(rng, n, k))
+            if k >= 3:
+                seeds += (_thinned_construction(k, n),)
             for g0 in seeds:
                 for order in ("random", "popcount"):
                     order_seed = rng.randrange(1000)

@@ -19,7 +19,7 @@ from kwise import (
     maximal_elements,
     submasks,
 )
-from kwise.setcore import ALGEBRA_MAX_N
+from kwise.setcore import ALGEBRA_MAX_N, _word_bits
 from oracles import (
     fold_subsets,
     fold_supersets,
@@ -444,6 +444,25 @@ def test_cover_searcher_edges():
     assert s.find(0b111, 0) is None
     got = s.find(0b111, 2)
     assert got is not None and (got[0] | got[1]) & 0b111 == 0b111
+
+
+# --- word helpers ------------------------------------------------------------
+
+
+def test_word_bits_matches_bit_scan():
+    rng = random.Random(41)
+    words = [0, 1]
+    words += [1 << p for p in (7, 8, 15, 16, 63, 64, 1023, 1024)]  # byte boundaries
+    words += [(1 << length) - 1 for length in (1, 3, 9, 13, 100, 1001)]  # all ones
+    # many short runs: sparse bits, alternating bits and bytes, random bit pairs
+    words += [sum(1 << (8 * rng.randrange(64) + rng.randrange(8)) for _ in range(30))]
+    words += [int("01" * 500, 2), int("ff00" * 100, 16)]
+    words += [sum(3 << rng.randrange(2000) for _ in range(200))]
+    words.append(rng.getrandbits(1 << 18))  # dense, as a greedy result at n = 18
+    for w in words:
+        got = _word_bits(w)
+        assert iter(got) is got  # lazy, so a dense word is never listed
+        assert list(got) == [p for p in range(w.bit_length()) if w >> p & 1]
 
 
 # --- make_star ---------------------------------------------------------------
