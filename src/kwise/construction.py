@@ -6,38 +6,50 @@ complement picture and collects, per block, every proper subset of the
 block, plus block subsets (two exclusions) extended by specials of other
 blocks except the cyclic predecessor's. The complement family of F is then
 k-wise intersecting and saturated.
+
+ConstructionParams and BlockPartition are NamedTuples that check their
+fields in __new__ and compare as frozen dataclasses do (setcore._record),
+so the module loads no dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .setcore import Family, SetMask, Universe, complement_family, submasks
+from .setcore import Family, SetMask, Universe, _record, complement_family, submasks
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Arity k >= 3 over a universe of size n >= 2(k-1)."""
-
+class _Params(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ValueError(f"construction requires k >= 3, got k={self.k}")
-        if self.n < 2 * (self.k - 1):
-            raise ValueError(
-                f"construction requires n >= 2(k-1) = {2 * (self.k - 1)}, got n={self.n}"
-            )
+
+@_record
+class ConstructionParams(_Params):
+    """Arity k >= 3 over a universe of size n >= 2(k-1)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> ConstructionParams:
+        if k < 3:
+            raise ValueError(f"construction requires k >= 3, got k={k}")
+        if n < 2 * (k - 1):
+            raise ValueError(f"construction requires n >= 2(k-1) = {2 * (k - 1)}, got n={n}")
+        return super().__new__(cls, k, n)
 
     @property
     def num_blocks(self) -> int:
         return self.k - 1
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class _Partition(NamedTuple):
+    universe: Universe
+    blocks: tuple[SetMask, ...]
+    specials: tuple[int, ...]
+
+
+@_record
+class BlockPartition(_Partition):
     """Disjoint blocks covering the universe (sizes within 1 of each other),
     one special element per block.
 
@@ -45,29 +57,30 @@ class BlockPartition:
     last block.
     """
 
-    universe: Universe
-    blocks: tuple[SetMask, ...]
-    specials: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.blocks or len(self.blocks) != len(self.specials):
+    def __new__(
+        cls, universe: Universe, blocks: tuple[SetMask, ...], specials: tuple[int, ...]
+    ) -> BlockPartition:
+        if not blocks or len(blocks) != len(specials):
             raise ValueError("exactly one special element per block required")
         union = 0
-        for b in self.blocks:
-            self.universe.check_mask(b)
+        for b in blocks:
+            universe.check_mask(b)
             if b == 0:
                 raise ValueError("blocks must be nonempty")
             if union & b:
                 raise ValueError("blocks must be pairwise disjoint")
             union |= b
-        if union != self.universe.full:
+        if union != universe.full:
             raise ValueError("blocks must cover the whole universe")
-        sizes = [b.bit_count() for b in self.blocks]
+        sizes = [b.bit_count() for b in blocks]
         if max(sizes) - min(sizes) > 1:
             raise ValueError("block sizes may differ by at most 1")
-        for b, a in zip(self.blocks, self.specials):
-            if not 1 <= a <= self.universe.n or not b >> (a - 1) & 1:
+        for b, a in zip(blocks, specials):
+            if not 1 <= a <= universe.n or not b >> (a - 1) & 1:
                 raise ValueError(f"special element {a} outside its block")
+        return super().__new__(cls, universe, blocks, specials)
 
     @property
     def num_blocks(self) -> int:

@@ -9,6 +9,7 @@ Canonical output lists members in ascending mask order.
 from __future__ import annotations
 
 import json
+from operator import lt
 
 from .setcore import Family, SetMask, Universe, elements_of
 
@@ -74,8 +75,19 @@ def read_family(text: str) -> Family:
             if not (size.isascii() and size.isdigit()):
                 raise ValueError(f"bad universe size line: {line!r}")
             u = Universe(int(size))
+            bit = {str(e): 1 << (e - 1) for e in range(1, u.n + 1)}.__getitem__
             continue
-        masks.append(parse_set_line(line, u))
+        # a canonical line (in-range elements without leading zeros, strictly
+        # ascending) is summed from the per-file bit table; any other line,
+        # valid or not, goes to parse_set_line for its mask or its error
+        try:
+            parts = list(map(bit, line.split(",")))
+        except KeyError:
+            parts = None
+        if parts and all(map(lt, parts, parts[1:])):
+            masks.append(sum(parts))
+        else:
+            masks.append(parse_set_line(line, u))
     if u is None:
         raise ValueError("empty family file (missing n=<int> header)")
     return Family(u, masks)

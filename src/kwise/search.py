@@ -5,12 +5,15 @@ maximal family is a down-set, so down-sets are the whole search space), an
 exact minimum-size oracle over it, seeded greedy saturation at medium n,
 cube-distance reports against block partitions and an aggregate size table.
 Only size_table and minimize_cube_distance import construction, so the
-greedy and the oracle load neither it nor dataclasses.
+greedy and the oracle never load it.
 The oracle, the greedy and maximal_arity_range read cover numbers from
 the cover-level words of setcore (level t holds the masks that at most t
 members cover, so level 1 is the down-closure), never from the verifier.
 Two cover numbers give the arities at which a family is maximal, so one
 down-set walk per n, reading each down-set off level 1, answers every k.
+The oracle's walk takes the least asked arity and skips, exactly, every
+subtree of down-sets larger than the star's complement or not k-wise for
+that arity, so the answer and its first achiever stay the same.
 The greedy holds no member set: it checks its seed with one AND of level 1
 and the reversed level k - 1, feeds its candidates (one shuffled run, or one
 run per popcount layer) to one loop that grows the levels at each open
@@ -68,7 +71,7 @@ class CubeReport(NamedTuple):
     distance: int
 
 
-def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
+def _downset_walk(n: int, kmin: int | None = None) -> Iterator[tuple[int, float, float]]:
     """Every down-set over [n] once, as (down-set word, lo, hi) with lo and
     hi as in maximal_arity_range.
 
@@ -76,12 +79,22 @@ def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
     child differs from its parent by one new top m, added to the cover
     levels 0..n by _grow. A node's down-set is its level 1 (empty for no
     tops); it carries the reversed down-set, the complement of its gaps.
+
+    Given kmin, the least arity asked, two exact cuts drop a child with
+    its whole subtree, since every descendant keeps the child's tops and
+    so its levels only grow: a down-set of more than 2^(n - 1) members
+    (the star's complement is maximal for every k >= 2, so no larger one
+    is a minimum), and a level min(kmin, n) that holds full (then
+    c(full) <= kmin, and no asked arity is k-wise). Neither cut changes
+    the order of the nodes that stay.
     """
     low = tuple(_low_words(n))
     size, full = 1 << n, (1 << n) - 1
     down = [_grow((1, 1), m, low)[1] for m in range(size)]  # the subsets of m
     rdown = [_reversed_word(d, size) for d in down]
     every = (1 << size) - 1
+    # with no kmin, no down-set outgrows cap and no level meets dead
+    cap, dead, t = (size, 0, n) if kmin is None else (size >> 1, 1 << full, min(kmin, n))
     # (tops, reversed down-set, cover levels 0..n, next candidate)
     stack = [(0, 0, (1,) * (n + 1), 0)]
     while stack:
@@ -90,9 +103,12 @@ def _downset_walk(n: int) -> Iterator[tuple[int, float, float]]:
         children = []
         for m in range(start, size):
             # m exceeds every top, so only a top under m makes them comparable
-            if down[m] & tops:
+            if down[m] & tops or (levels[1] | down[m]).bit_count() > cap:
                 continue
-            children.append((tops | 1 << m, r | rdown[m], _grow(levels, m, low), m + 1))
+            grown = _grow(levels, m, low)
+            if grown[t] & dead:
+                continue
+            children.append((tops | 1 << m, r | rdown[m], grown, m + 1))
         stack.extend(reversed(children))
 
 
@@ -141,7 +157,7 @@ def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
         raise ValueError(f"exhaustive oracle needs n <= {DOWNSET_MAX_N}, got n={u.n}")
     best: dict[int, int] = {}  # k -> down-set word of its first smallest achiever
     count = dict.fromkeys(ks, 0)
-    for d, lo, hi in _downset_walk(u.n):
+    for d, lo, hi in _downset_walk(u.n, min(ks, default=2)):
         size = d.bit_count()
         for k in count:  # each arity once, even if ks repeats it
             if not lo <= k < hi:
@@ -200,24 +216,26 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
         runs = [list(range(size))]
         random.Random(order_seed).shuffle(runs[0])
     else:
-        # one run per popcount layer, from the top: the layer's open masks,
-        # in no level 1 and with full ^ x in no level k - 1, read when the
-        # run starts. Open masks only close, so the test below drops the
-        # ones that an earlier grow in the run closed, and skips no other.
-        runs = (
-            _word_bits(layer & ~(levels[1] | _reversed_word(levels[-1], size)))
-            for layer in reversed(_popcount_layers(u.n))
-        )
+        runs = reversed(_popcount_layers(u.n))
     # levels 1 and k - 1 as bytes snapshots: one O(1) index per test
     nbytes = (size + 7) // 8
     one = levels[1].to_bytes(nbytes, "little")
     top = levels[-1].to_bytes(nbytes, "little")
     for run in runs:
+        if order == "popcount":
+            # one run per popcount layer, from the top: the layer's open
+            # masks, in no level 1 and with full ^ x in no level k - 1, read
+            # when the run starts (rev is None after a grow, so it is re-read
+            # only then). Open masks only close, so the test below drops the
+            # ones that an earlier grow in the run closed, and skips no other.
+            if rev is None:
+                rev = _reversed_word(levels[-1], size)
+            run = _word_bits(run & ~(levels[1] | rev))
         for x in run:
             t = full ^ x
             if top[t >> 3] >> (t & 7) & 1 or one[x >> 3] >> (x & 7) & 1:
                 continue
-            levels = _grow(levels, x, low)
+            levels, rev = _grow(levels, x, low), None
             one = levels[1].to_bytes(nbytes, "little")
             top = levels[-1].to_bytes(nbytes, "little")
     return Family(u, _word_bits(levels[1]))

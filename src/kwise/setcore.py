@@ -15,8 +15,8 @@ hold every mask's cover number at once: level t is the word of the masks
 that at most t members cover, grown by _grow from each maximal member.
 CoverTable is a byte-per-mask view of levels 0..limit that no command or
 library path builds; the benchmark's tracer patches its names.
-_record gives the NamedTuple result types of verifier and search the
-equality of a frozen dataclass without loading dataclasses.
+_record gives the NamedTuple types of verifier, search and construction
+the equality of a frozen dataclass without loading dataclasses.
 """
 
 from __future__ import annotations
@@ -37,14 +37,16 @@ COVER_MAX_J = 8
 
 _NONE = 255
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_NONZERO_BYTES = bytes([0, *[1] * 255])
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _record(cls):
-    """Class decorator for the NamedTuple result types of verifier and
-    search: instances equal only instances of the same class with equal
-    fields, and hash with their class, as frozen dataclasses do. A bare
-    NamedTuple would equal any tuple, so GapWitness(5) == (5,)."""
+    """Class decorator for the NamedTuple types of verifier, search and
+    construction: instances equal only instances of the same class with
+    equal fields, and hash with their class, as frozen dataclasses do. A bare
+    NamedTuple would equal any tuple, so GapWitness(5) == (5,). _make, and
+    so _replace, goes through the class's __new__, which may check fields."""
 
     def __eq__(self, other):
         return type(other) is type(self) and tuple.__eq__(self, other)
@@ -56,6 +58,7 @@ def _record(cls):
         return hash((type(self), tuple.__hash__(self)))
 
     cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    cls._make = classmethod(lambda c, fields: c(*fields))
     return cls
 
 
@@ -265,10 +268,20 @@ def _word_bits(word: int) -> Iterator[SetMask]:
     at C speed, so sparse and dense 2^n-bit words both cost one scan."""
     data = word.to_bytes((word.bit_length() + 7) // 8, "little")
     return chain.from_iterable(
-        compress(range(run.start() << 3, run.end() << 3),
-                 _spelled(int.from_bytes(run[0], "little"), len(run[0]) << 3))
-        for run in re.finditer(rb"[^\x00]+", data)
+        compress(range(a << 3, b << 3),
+                 _spelled(int.from_bytes(data[a:b], "little"), (b - a) << 3))
+        for a, b in _nonzero_runs(data)
     )
+
+
+def _nonzero_runs(data: bytes) -> Iterator[tuple[int, int]]:
+    """(start, end) of each maximal run of nonzero bytes, found by memchr
+    scans (bytes.find) of a 0/1 copy with a zero byte appended."""
+    flags = data.translate(_NONZERO_BYTES) + b"\0"
+    end = 0
+    while (start := flags.find(1, end)) >= 0:
+        end = flags.find(0, start)
+        yield start, end
 
 
 def _spelled(word: int, size: int) -> bytes:

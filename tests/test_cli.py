@@ -505,27 +505,30 @@ def _construct_3_8(edit):
 
 _LAYERS = ("kwise.construction", "kwise.familyio", "kwise.search", "kwise.setcore",
            "kwise.verifier")
+# construction holds NamedTuples, so no call loads dataclasses (with inspect,
+# ast, dis and tokenize behind it), the construct and table calls included
 _NOT_ON_VERIFY = ("kwise.search", "kwise.construction", "dataclasses")
 _NOT_ON_GREEDY = ("kwise.construction", "dataclasses")
 
 # (id, argv, stdin edit of the (3, 8) construction or None, exit code,
 # modules the call must not load)
 NO_NUMPY_CASES = [
-    ("help", ["--help"], None, 0, _LAYERS),
-    ("construct", ["construct", "--k", "3", "--n", "8"], None, 0, ()),
+    ("help", ["--help"], None, 0, (*_LAYERS, "dataclasses")),
+    ("construct", ["construct", "--k", "3", "--n", "8"], None, 0, ("dataclasses",)),
     ("verify-maximal", ["verify", "--k", "3"], lambda ls: ls, 0, _NOT_ON_VERIFY),
     ("verify-not-kwise", ["verify", "--k", "3"], lambda ls: ls + ["1,2,3,4,5,6,7,8\n"], 2,
      _NOT_ON_VERIFY),
     ("verify-not-downset", ["verify", "--k", "3"], lambda ls: ls[:2] + ls[3:], 3,
      _NOT_ON_VERIFY),
-    ("oracle", ["oracle", "--k", "3", "--n", "5"], None, 0, ()),
+    ("oracle", ["oracle", "--k", "3", "--n", "5"], None, 0, ("dataclasses",)),
     ("greedy-random", ["greedy", "--k", "3", "--n", "10", "--runs", "2"], None, 0,
      _NOT_ON_GREEDY),
     ("greedy-popcount", ["greedy", "--k", "4", "--n", "10", "--order", "popcount"], None, 0,
      _NOT_ON_GREEDY),
-    ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0, ()),
-    ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0, ()),
-    ("library", ["library"], None, 0, ("kwise.cli",)),
+    ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0, ("dataclasses",)),
+    ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0, ("dataclasses",)),
+    ("table-bench", ["table", "--k", "2..6", "--n", "1..5"], None, 0, ("dataclasses",)),
+    ("library", ["library"], None, 0, ("kwise.cli", "dataclasses")),
 ]
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from kwise import (
@@ -24,6 +26,62 @@ def test_params_validation():
         ConstructionParams(4, 5)
 
 
+@pytest.mark.parametrize(
+    ("k", "n", "message"),
+    [
+        (2, 10, r"construction requires k >= 3, got k=2"),
+        (4, 5, r"construction requires n >= 2\(k-1\) = 6, got n=5"),
+    ],
+)
+def test_params_validation_messages(k, n, message):
+    with pytest.raises(ValueError, match=message):
+        ConstructionParams(k, n)
+    with pytest.raises(ValueError, match=message):
+        ConstructionParams(n=n, k=k)
+
+
+def test_params_contract():
+    p = ConstructionParams(4, 9)
+    assert p == ConstructionParams(k=4, n=9)
+    assert (p.k, p.n, p.num_blocks) == (4, 9, 3)
+    assert p._fields == ("k", "n")
+    assert repr(p) == "ConstructionParams(k=4, n=9)"
+    assert hash(p) == hash(ConstructionParams(4, 9))
+    assert len({p, ConstructionParams(4, 9), ConstructionParams(4, 10)}) == 2
+    # equal only to its own class, as a frozen dataclass is
+    assert p != (4, 9) and (4, 9) != p
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(AttributeError):
+        p.k = 5
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    # _replace builds through __new__, so it checks the fields too
+    assert p._replace(n=12) == ConstructionParams(4, 12)
+    with pytest.raises(ValueError, match="k >= 3"):
+        p._replace(k=2)
+
+
+def test_partition_contract():
+    u = Universe(7)
+    bp = BlockPartition(u, (0b0000111, 0b0011000, 0b1100000), (1, 4, 6))
+    assert bp == make_partition(ConstructionParams(4, 7))
+    assert bp == BlockPartition(universe=u, blocks=bp.blocks, specials=bp.specials)
+    assert bp._fields == ("universe", "blocks", "specials")
+    assert repr(bp) == (
+        "BlockPartition(universe=Universe(7), blocks=(7, 24, 96), specials=(1, 4, 6))"
+    )
+    assert (bp.num_blocks, bp.specials_mask, bp.block_sizes()) == (3, 0b0101001, (3, 2, 2))
+    assert hash(bp) == hash(make_partition(ConstructionParams(4, 7)))
+    assert bp != tuple(bp)
+    assert pickle.loads(pickle.dumps(bp)) == bp
+    with pytest.raises(AttributeError):
+        bp.blocks = ()
+    with pytest.raises(AttributeError):
+        bp.extra = 1
+    with pytest.raises(ValueError, match="sizes may differ"):
+        bp._replace(blocks=(0b0000001, 0b0011110, 0b1100000))
+
+
 def test_make_partition_k3_n6():
     bp = make_partition(ConstructionParams(3, 6))
     u = bp.universe
@@ -35,6 +93,25 @@ def test_make_partition_near_equal_split():
     bp = make_partition(ConstructionParams(4, 7))
     assert bp.block_sizes() == (3, 2, 2)
     assert bp.specials == (1, 4, 6)
+
+
+@pytest.mark.parametrize(
+    ("blocks", "specials", "message"),
+    [
+        ((), (), "exactly one special element per block required"),
+        ((0b0011, 0b1100), (1,), "exactly one special element per block required"),
+        ((0b0011, 0b10000), (1, 5), "does not fit a universe of size 4"),
+        ((0b1111, 0), (1, 1), "blocks must be nonempty"),
+        ((0b0011, 0b0110), (1, 2), "blocks must be pairwise disjoint"),
+        ((0b0011, 0b0100), (1, 3), "blocks must cover the whole universe"),
+        ((0b0111, 0b1000), (1, 4), "block sizes may differ by at most 1"),
+        ((0b0011, 0b1100), (1, 1), "special element 1 outside its block"),
+        ((0b0011, 0b1100), (1, 5), "special element 5 outside its block"),
+    ],
+)
+def test_block_partition_validation_messages(blocks, specials, message):
+    with pytest.raises(ValueError, match=message):
+        BlockPartition(Universe(4), blocks, specials)
 
 
 def test_block_partition_validation():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from kwise import Family, Universe, read_family, write_family
+from kwise.familyio import parse_set_line
 
 
 def test_round_trip_canonical():
@@ -91,3 +94,53 @@ def test_malformed_inputs_rejected(text):
 def test_malformed_element_messages(text, message):
     with pytest.raises(ValueError, match=message):
         read_family(text)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _random_line(rng, n):
+    elems = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    tokens = [str(e) for e in elems]
+    kind = rng.randrange(10)
+    if kind == 0:
+        return rng.choice(["{}", "{ }", "{}1", f"0x{rng.randrange(1 << n):x}",
+                           f"0X{rng.randrange(1 << (n + 1)):X}", "0x", "0x-1"])
+    if kind == 1:  # leading zeros
+        i = rng.randrange(len(tokens))
+        tokens[i] = "0" * rng.randint(1, 2) + tokens[i]
+    elif kind == 2:  # spaces inside the line
+        i = rng.randrange(len(tokens))
+        tokens[i] = rng.choice([" ", "\t"]) + tokens[i]
+    elif kind == 3:  # a duplicate
+        i = rng.randrange(len(tokens))
+        tokens.insert(i, tokens[i])
+    elif kind == 4:  # out of range
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(["0", str(n + 1), "99", "-1"]))
+    elif kind == 5 and len(tokens) > 1:  # descending
+        tokens.reverse()
+    elif kind == 6:  # empty, signed or non-digit tokens
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(["", "+1", "a", "1_0", "١"]))
+    return ",".join(tokens)
+
+
+def test_read_family_matches_the_per_line_parser():
+    # read_family takes canonical lines from its bit table and the rest
+    # from parse_set_line; each line, stripped as read_family strips it,
+    # must give the same mask or message
+    rng = random.Random(21)
+    for n in (1, 2, 3, 9, 10, 12, 20, 62):
+        u = Universe(n)
+        lines = [_random_line(rng, n) for _ in range(300)]
+        for line in lines:
+            want = _outcome(parse_set_line, line.strip(), u)
+            got = _outcome(read_family, f"n={n}\n{line}\n")
+            assert got == (want if isinstance(want, str) else Family(u, [want])), line
+        valid = [line.strip() for line in lines
+                 if not isinstance(_outcome(parse_set_line, line.strip(), u), str)]
+        text = "".join(f"{line}\n" for line in [f"n={n}", *valid])
+        assert read_family(text) == Family(u, (parse_set_line(line, u) for line in valid))

@@ -270,6 +270,43 @@ def test_oracle_matches_reference(n):
     assert _oracle_results(ks, u) == expect
 
 
+@cache
+def uncut_walk(n):
+    return list(_downset_walk(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kmin", range(2, 9))
+def test_cut_walk_keeps_the_uncut_nodes_that_pass_both_cuts(n, kmin):
+    # both cuts are monotone down a branch, so the cut walk is exactly the
+    # uncut walk, in its order, less every node that fails one of them:
+    # more than 2^(n-1) members, or c(full) = hi <= min(kmin, n)
+    keep = [(d, lo, hi) for d, lo, hi in uncut_walk(n)
+            if d.bit_count() <= 1 << (n - 1) and hi > min(kmin, n)]
+    assert list(_downset_walk(n, kmin)) == keep
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cut_oracle_matches_uncut_walk_for_every_arity_subset(n):
+    u = Universe(n)
+    expect = {}
+    for k in range(2, 9):
+        sizes = [d.bit_count() for d, lo, hi in uncut_walk(n) if lo <= k < hi]
+        f = min(sizes)
+        first = next(d for d, lo, hi in uncut_walk(n) if lo <= k < hi and d.bit_count() == f)
+        expect[k] = OracleResult(
+            k, n, f, sizes.count(f), complement_family(Family(u, _word_bits(first)))
+        )
+    for r in range(1, 8):
+        for ks in combinations(range(2, 9), r):
+            assert _oracle_results(ks, u) == {k: expect[k] for k in ks}, ks
+
+
+@pytest.mark.parametrize("kmin,nodes", [(None, 7581), (2, 2646), (3, 763), (4, 688)])
+def test_cut_walk_node_counts_at_n5(kmin, nodes):
+    assert sum(1 for _ in _downset_walk(5, kmin)) == nodes
+
+
 def test_oracle_makes_no_per_downset_families(monkeypatch):
     calls = []
     original = Family.__init__
