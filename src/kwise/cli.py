@@ -113,13 +113,11 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
                             help="also minimise over all balanced partitions (n <= 8)")
     p_distance.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
-    p_table = sub.add_parser("table", help="size table over (k, n) ranges")
+    p_table = sub.add_parser(
+        "table", help="construction size, closed form and exact minimum over (k, n) ranges")
     p_table.set_defaults(handler=_cmd_table)
     p_table.add_argument("--k", required=True, help="INT or LO..HI")
     p_table.add_argument("--n", required=True, help="INT or LO..HI")
-    p_table.add_argument("--runs", type=int, default=0, help="greedy seeds per cell (0 skips)")
-    p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--order", choices=("random", "popcount"), default="random")
     p_table.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     ns = parser.parse_args(argv)
@@ -164,8 +162,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
         if ns.n_range[0] < 1 or ns.n_range[1] > TABLE_MAX_N:
             parser.error(f"table requires 1 <= n <= {TABLE_MAX_N}")
-        if ns.runs < 0:
-            parser.error(f"--runs must be >= 0, got {ns.runs}")
     return ns
 
 
@@ -349,9 +345,6 @@ def _cmd_table(ns: argparse.Namespace) -> int:
     rows = size_table(
         range(ns.k_range[0], ns.k_range[1] + 1),
         range(ns.n_range[0], ns.n_range[1] + 1),
-        runs=ns.runs,
-        base_seed=ns.seed,
-        order=ns.order,
     )
     _emit_rows(ns.fmt, "table", rows)
     return EXIT_OK

@@ -314,17 +314,10 @@ def minimize_cube_distance(f: Family, num_blocks: int) -> CubeReport:
     return best
 
 
-def size_table(
-    ks: Sequence[int],
-    ns: Sequence[int],
-    *,
-    runs: int = 0,
-    base_seed: int = 0,
-    order: str = "random",
-) -> list[dict]:
-    """One row per (k, n): construction size, closed-form size, exhaustive
-    minimum, and the best greedy size over `runs` seeds. Infeasible cells
-    stay None."""
+def size_table(ks: Sequence[int], ns: Sequence[int]) -> list[dict]:
+    """One row per (k, n): construction size, closed-form size and
+    exhaustive minimum. Infeasible cells stay None; greedy sizes come from
+    `kwise greedy`."""
     from .construction import ConstructionParams, build_family, expected_size
 
     oracle_ks = [k for k in ks if k >= 2]
@@ -342,7 +335,7 @@ def size_table(
                 "size": None,
                 "formula": None,
                 "oracle": None,
-                "greedy_min": None,
+                "greedy_min": None,  # always None: bench/workloads.py checks the 6-column header
             }
             if k >= 3 and n >= 2 * (k - 1):
                 p = ConstructionParams(k, n)
@@ -350,13 +343,5 @@ def size_table(
                 row["formula"] = expected_size(p)
             if k >= 2 and n in oracle:
                 row["oracle"] = oracle[n][k].f_k_n
-            if runs >= 1 and k >= 2 and n <= GREEDY_MAX_N:
-                empty = Family(Universe(n))
-                # the popcount order has no seed, so one run gives them all
-                seeds = range(runs if order == "random" else 1)
-                row["greedy_min"] = min(
-                    len(greedy_saturate(empty, k, base_seed + r, order=order))
-                    for r in seeds
-                )
             rows.append(row)
     return rows

@@ -82,6 +82,13 @@ USAGE_ERRORS = [
     (["distance", "--k", "2", "--n", "9"], "kwise: error: the cube probe requires k >= 3, got 2"),
     (["distance", "--k", "4", "--n", "5"],
      "kwise: error: the cube probe requires n >= 2(k-1) = 6, got 5"),
+    # greedy runs are `kwise greedy`'s alone
+    (["table", "--k", "3", "--n", "8", "--runs", "1"],
+     "kwise: error: unrecognized arguments: --runs 1"),
+    (["table", "--k", "3", "--n", "8", "--seed", "0"],
+     "kwise: error: unrecognized arguments: --seed 0"),
+    (["table", "--k", "3", "--n", "8", "--order", "popcount"],
+     "kwise: error: unrecognized arguments: --order popcount"),
 ]
 
 
@@ -276,7 +283,7 @@ def test_oracle_json(capsys):
      ["k", "n", "block_sizes", "q_size", "distance", "size"]),
     (["distance", "--k", "3", "--n", "6", "--minimize"],
      ["k", "n", "block_sizes", "q_size", "distance", "size", "min_distance", "min_blocks"]),
-    (["table", "--k", "2..4", "--n", "3..5", "--runs", "1"],
+    (["table", "--k", "2..4", "--n", "3..5"],
      ["k", "n", "size", "formula", "oracle", "greedy_min"]),
 ], ids=["greedy", "distance", "distance-minimize", "table"])
 def test_json_rows_match_tsv(capsys, argv, columns):
@@ -434,7 +441,8 @@ def test_table_formula_matches_construction(capsys):
 def test_oracle_golden_output(case, capsys):
     # stdout recorded from the per-k oracle that sent every down-set through
     # the verifier once per k; the one-pass oracle must reproduce it, the
-    # first achiever in enumeration order and the achiever counts included
+    # first achiever in enumeration order and the achiever counts included.
+    # The table cases, TSV and JSON, pin the always-empty greedy_min column.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
 
@@ -467,11 +475,11 @@ def test_shell_pipeline_construct_verify():
 # --- each command loads only what it runs --------------------------------------
 
 # Runs `kwise ARGV` through cli.main, or with ARGV "library" the star import
-# and a cover table; with "block" first, every import of numpy raises
-# ImportError. The last stderr line is a dict literal: whether numpy was
-# loaded, whether the call loaded dataclasses (judged against what the
-# interpreter had loaded before kwise, so a site hook cannot count), and
-# the kwise modules loaded.
+# and a verdict whose gap witness is rechecked on the cover levels; with
+# "block" first, every import of numpy raises ImportError. The last stderr
+# line is a dict literal: whether numpy was loaded, whether the call loaded
+# dataclasses (judged against what the interpreter had loaded before kwise,
+# so a site hook cannot count), and the kwise modules loaded.
 _RUN_WITHOUT_NUMPY = """\
 import sys
 bare = set(sys.modules)
@@ -479,8 +487,9 @@ if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 if sys.argv[2:] == ["library"]:
     from kwise import *
-    table = build_cover_table(downset_closure(Family(Universe(4), [0b0111, 0b1100])), 2)
-    print(list(table.sup), table.covering(0b1011), table.can_cover(0b1111, 2))
+    g = downset_closure(Family(Universe(4), [0b0011, 0b0100]))
+    v = is_maximal_kwise(g, 3, "complement")
+    print(v.reason, v.witness, verify_witness(v, g, 3))
     code = 0
 else:
     from kwise.cli import main
@@ -526,7 +535,7 @@ NO_NUMPY_CASES = [
     ("greedy-popcount", ["greedy", "--k", "4", "--n", "10", "--order", "popcount"], None, 0,
      _NOT_ON_GREEDY),
     ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0, ("dataclasses",)),
-    ("table", ["table", "--k", "2..4", "--n", "3..6", "--runs", "1"], None, 0, ("dataclasses",)),
+    ("table", ["table", "--k", "2..4", "--n", "3..6"], None, 0, ("dataclasses",)),
     ("table-bench", ["table", "--k", "2..6", "--n", "1..5"], None, 0, ("dataclasses",)),
     ("library", ["library"], None, 0, ("kwise.cli", "dataclasses")),
 ]

@@ -21,7 +21,6 @@ from kwise import (
     size_table,
     submasks,
 )
-from kwise import search
 from kwise.search import (
     OracleResult,
     _downset_walk,
@@ -661,7 +660,7 @@ def test_minimize_cube_distance():
 
 
 def test_size_table_cells():
-    rows = size_table([2, 3, 4], range(4, 10), runs=0)
+    rows = size_table([2, 3, 4], range(4, 10))
     by_cell = {(r["k"], r["n"]): r for r in rows}
     assert by_cell[(3, 8)]["size"] == 29
     assert by_cell[(3, 8)]["formula"] == 29
@@ -672,33 +671,4 @@ def test_size_table_cells():
     assert by_cell[(4, 4)]["size"] is None  # below 2(k-1)
     assert by_cell[(2, 6)]["oracle"] is None  # beyond the oracle range
     assert by_cell[(2, 4)]["size"] is None  # no construction for k=2
-
-
-def test_size_table_greedy_column():
-    rows = size_table([3], [8], runs=3, base_seed=0)
-    (row,) = rows
-    assert isinstance(row["greedy_min"], int)
-    assert 1 <= row["greedy_min"] <= 1 << 7  # no maximal family beats the star bound
-
-
-def test_size_table_runs_popcount_greedy_once_per_cell(monkeypatch):
-    calls = []
-    original = search.greedy_saturate
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["order"])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(search, "greedy_saturate", counting)
-    rows = size_table([3, 4], [8], runs=4, base_seed=2, order="popcount")
-    assert calls == ["popcount"] * 2
-    assert rows == size_table([3, 4], [8], runs=1, order="popcount")
-    calls.clear()
-    size_table([3], [8], runs=4, order="random")
-    assert calls == ["random"] * 4
-
-
-def test_size_table_cell_4_9_with_greedy():
-    (row,) = size_table([4], [9], runs=1, base_seed=0)
-    assert row["size"] == 34 and row["formula"] == 34
-    assert isinstance(row["greedy_min"], int)
+    assert all(r["greedy_min"] is None for r in rows)  # greedy sizes are `kwise greedy`'s
