@@ -9,10 +9,11 @@ standing for mask p: _member_word packs masks into a word, _word_bits
 lazily unpacks one, _spelled spells one as 0/1 bytes, _reversed_word
 moves bit x to bit full ^ x, and _low_words gives LOW_i, the masks lacking
 bit i, so that (word & LOW_i) << 2^i moves each such mask x to x | 2^i.
-Both cover engines live here. CoverSearcher finds a cover of one mask by
-few members through a memoised branch-and-bound search. The cover levels
-hold every mask's cover number at once: level t is the word of the masks
-that at most t members cover, grown by _grow from each maximal member.
+Both cover engines live here. CoverSearcher finds the first cover of one
+mask by few members through a branch-and-bound search that memoises only
+failed (target, budget) pairs. The cover levels hold every mask's cover
+number at once: level t is the word of the masks that at most t members
+cover, grown by _grow from each maximal member.
 CoverTable is a byte-per-mask view of levels 0..limit that no command or
 library path builds; the benchmark's tracer patches its names.
 _record gives the NamedTuple types of verifier, search and construction
@@ -410,40 +411,30 @@ class CoverSearcher:
     find(target, budget) returns at most `budget` candidates whose union
     contains target (a tuple, empty for an empty target), or None when no
     such selection exists. At each step only candidates containing the
-    lowest uncovered bit can help; they are tried largest first. Outcomes
-    are memoised per target, so a searcher amortises well over many
-    queries against the same family.
+    lowest uncovered bit can help; they are tried largest first, and the
+    first cover in that order is returned. Only failures are memoised, as
+    the largest budget that failed per target; coverability is monotone in
+    the budget, so each answer depends on the arguments alone.
     """
 
-    __slots__ = ("n", "_by_bit", "_yes", "_no")
+    __slots__ = ("_by_bit", "_no")
 
     def __init__(self, tops: Iterable[SetMask], n: int) -> None:
         ordered = sorted(tops, key=lambda t: (-t.bit_count(), t))
-        self.n = n
         self._by_bit = tuple(
             tuple(t for t in ordered if t >> b & 1) for b in range(n)
         )
-        self._yes: dict[SetMask, tuple[SetMask, ...]] = {}
         self._no: dict[SetMask, int] = {}
 
     def find(self, target: SetMask, budget: int) -> tuple[SetMask, ...] | None:
         if target == 0:
             return ()
-        if budget <= 0:
-            return None
-        known = self._yes.get(target)
-        if known is not None and len(known) <= budget:
-            return known
-        if self._no.get(target, 0) >= budget:
+        if budget <= 0 or self._no.get(target, 0) >= budget:
             return None
         low = (target & -target).bit_length() - 1
         for cand in self._by_bit[low]:
             rest = self.find(target & ~cand, budget - 1)
             if rest is not None:
-                cover = (cand, *rest)
-                if known is None or len(cover) < len(known):
-                    self._yes[target] = cover
-                return cover
+                return (cand, *rest)
         self._no[target] = budget
         return None
-

@@ -74,8 +74,6 @@ def check_kwise(g: Family, k: int) -> Verdict:
 
 
 def _kwise(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
-    if not g.members:
-        return Verdict(True)
     found = searcher.find(g.universe.full, k)
     if found is None:
         return Verdict(True)
@@ -136,7 +134,7 @@ def is_maximal_kwise(f: Family, k: int, world: str = "direct") -> Verdict:
         raise ValueError(f"world must be 'direct' or 'complement', got {world!r}")
     g = complement_family(f) if world == "direct" else f
     border, downset = _border(g)
-    # one searcher serves both checks; the k-wise query runs on it first
+    # one searcher, and so one failure memo, serves both checks
     searcher = _searcher(g)
     kw = _kwise(g, k, searcher)
     if not kw.ok:

@@ -209,13 +209,16 @@ def test_expected_size_values():
     assert expected_size(ConstructionParams(4, 7)) is None
 
 
-def test_size_equals_formula_for_all_divisible_cells():
-    for k in (3, 4, 5, 6):
+def test_size_equals_block_sum_for_every_cell():
+    """Blocks of sizes b_i give sum_i 2^(b_i + k - 3) - (2^(k-1) - 1)(k - 2)
+    members, divisible or not; expected_size is that sum where it is set."""
+    for k in range(3, 9):
         for n in range(2 * (k - 1), 25):
-            if n % (k - 1):
-                continue
             p = ConstructionParams(k, n)
-            assert len(build_family(p).f) == expected_size(p), (k, n)
+            sizes = make_partition(p).block_sizes()
+            size = sum(1 << (b + k - 3) for b in sizes) - ((1 << (k - 1)) - 1) * (k - 2)
+            assert len(build_family(p).f) == size, (k, n)
+            assert expected_size(p) in (None, size), (k, n)
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 8), (4, 6), (4, 9), (5, 8), (6, 10)])

@@ -444,6 +444,39 @@ def test_cover_searcher_edges():
     assert s.find(0b111, 0) is None
     got = s.find(0b111, 2)
     assert got is not None and (got[0] | got[1]) & 0b111 == 0b111
+    # an earlier, smaller-budget query does not change a later answer
+    tops, target = (0b11011, 0b101000, 0b110111), 0b1011
+    s = CoverSearcher(tops, 6)
+    assert s.find(target, 1) == (0b11011,)
+    assert s.find(target, 3) == (0b110111, 0b11011) == CoverSearcher(tops, 6).find(target, 3)
+
+
+def first_cover(tops, target, budget):
+    """The first cover of target by <= budget tops, trying at each step the
+    tops that hold the lowest uncovered bit, largest first; no memo."""
+    if target == 0:
+        return ()
+    if budget <= 0:
+        return None
+    low = target & -target
+    for t in sorted(tops, key=lambda t: (-t.bit_count(), t)):
+        if t & low:
+            rest = first_cover(tops, target & ~t, budget - 1)
+            if rest is not None:
+                return (t, *rest)
+    return None
+
+
+@given(families(max_n=7), st.lists(st.tuples(st.integers(0, 127), st.integers(0, 5)), max_size=12))
+@example(Family(Universe(6), (0b11011, 0b101000, 0b110111)), [(0b1011, 1), (0b1011, 3), (0b1011, 2)])
+def test_cover_searcher_answers_from_its_arguments_alone(f, queries):
+    tops, n = maximal_elements(f).members, f.universe.n
+    shared = CoverSearcher(tops, n)
+    for target, budget in queries:
+        target &= f.universe.full
+        got = shared.find(target, budget)
+        assert got == CoverSearcher(tops, n).find(target, budget)
+        assert got == first_cover(tops, target, budget)
 
 
 # --- word helpers ------------------------------------------------------------
