@@ -8,8 +8,8 @@ blocks except the cyclic predecessor's. The complement family of F is then
 k-wise intersecting and saturated.
 
 ConstructionParams and BlockPartition are NamedTuples that check their
-fields in __new__ and compare as frozen dataclasses do (setcore._record),
-so the module loads no dataclasses.
+fields in __new__; they and BuiltFamily compare as frozen dataclasses do
+(setcore._record), so the module loads no dataclasses.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ def build_f2(bp: BlockPartition, i: int) -> Family:
     )
 
 
+@_record
 class BuiltFamily(NamedTuple):
     f: Family  # complement world
     fbar: Family  # direct world: the maximal k-wise intersecting family

@@ -9,11 +9,12 @@ standing for mask p: _member_word packs masks into a word, _word_bits
 lazily unpacks one, _spelled spells one as 0/1 bytes, _reversed_word
 moves bit x to bit full ^ x, and _low_words gives LOW_i, the masks lacking
 bit i, so that (word & LOW_i) << 2^i moves each such mask x to x | 2^i.
-Both cover engines live here. CoverSearcher finds the first cover of one
-mask by few members through a branch-and-bound search that memoises only
-failed (target, budget) pairs. The cover levels hold every mask's cover
-number at once: level t is the word of the masks that at most t members
-cover, grown by _grow from each maximal member.
+Both cover engines live here and read a family's maximal members.
+CoverSearcher finds the first cover of one mask by few of them through a
+branch-and-bound search that memoises only failed (target, budget) pairs.
+The cover levels hold every mask's cover number at once: level t is the
+word of the masks that at most t members cover, grown by _grow from each
+maximal member.
 CoverTable is a byte-per-mask view of levels 0..limit that no command or
 library path builds; the benchmark's tracer patches its names.
 _record gives the NamedTuple types of verifier, search and construction
@@ -22,7 +23,6 @@ the equality of a frozen dataclass without loading dataclasses.
 
 from __future__ import annotations
 
-import re
 from itertools import chain, compress
 from math import inf
 from typing import TYPE_CHECKING
@@ -399,18 +399,17 @@ def cover_table_from_indicator(ind: Sequence[int], u: Universe, j_max: int) -> C
         raise ValueError("indicator length must be 2^n")
     if not 1 <= j_max <= COVER_MAX_J:
         raise ValueError(f"j_max must be in 1..{COVER_MAX_J}, got {j_max}")
-    flags = ind if isinstance(ind, (bytes, bytearray)) else bytes(map(bool, ind))
-    f = Family(u, (hit.start() for hit in re.finditer(rb"[^\x00]", flags)))
+    f = Family(u, compress(range(len(ind)), ind))
     levels = _cover_levels(f, j_max, tuple(_low_words(u.n)))
     return CoverTable(u, j_max, levels)
 
 
 class CoverSearcher:
-    """Branch-and-bound cover search over an antichain of candidate masks.
+    """Branch-and-bound cover search over a family's maximal members.
 
-    find(target, budget) returns at most `budget` candidates whose union
-    contains target (a tuple, empty for an empty target), or None when no
-    such selection exists. At each step only candidates containing the
+    find(target, budget) returns at most `budget` maximal members whose
+    union contains target (a tuple, empty for an empty target), or None when
+    no such selection exists. At each step only members containing the
     lowest uncovered bit can help; they are tried largest first, and the
     first cover in that order is returned. Only failures are memoised, as
     the largest budget that failed per target; coverability is monotone in
@@ -419,10 +418,10 @@ class CoverSearcher:
 
     __slots__ = ("_by_bit", "_no")
 
-    def __init__(self, tops: Iterable[SetMask], n: int) -> None:
-        ordered = sorted(tops, key=lambda t: (-t.bit_count(), t))
+    def __init__(self, f: Family) -> None:
+        tops = sorted(maximal_elements(f).members, key=lambda t: (-t.bit_count(), t))
         self._by_bit = tuple(
-            tuple(t for t in ordered if t >> b & 1) for b in range(n)
+            tuple(t for t in tops if t >> b & 1) for b in range(f.universe.n)
         )
         self._no: dict[SetMask, int] = {}
 

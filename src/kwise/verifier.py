@@ -30,7 +30,6 @@ from .setcore import (
     _word_bits,
     build_cover_table,  # noqa: F401  bench/tracer.py patches this binding
     complement_family,
-    maximal_elements,
 )
 
 
@@ -62,15 +61,11 @@ def _require_k(k: int) -> None:
         raise ValueError(f"arity k must be >= 2, got {k}")
 
 
-def _searcher(g: Family) -> CoverSearcher:
-    return CoverSearcher(maximal_elements(g).members, g.universe.n)
-
-
 def check_kwise(g: Family, k: int) -> Verdict:
     """No multiset of <= k members of g may union to the full ground set,
     decided by one search over maximal elements."""
     _require_k(k)
-    return _kwise(g, k, _searcher(g))
+    return _kwise(g, k, CoverSearcher(g))
 
 
 def _kwise(g: Family, k: int, searcher: CoverSearcher) -> Verdict:
@@ -109,7 +104,7 @@ def check_saturated(g: Family, k: int) -> Verdict:
     the k-wise property.
     """
     _require_k(k)
-    return _saturated(g, k, _searcher(g), _border(g)[0])
+    return _saturated(g, k, CoverSearcher(g), _border(g)[0])
 
 
 def _saturated(g: Family, k: int, searcher: CoverSearcher, border: list[SetMask]) -> Verdict:
@@ -135,7 +130,7 @@ def is_maximal_kwise(f: Family, k: int, world: str = "direct") -> Verdict:
     g = complement_family(f) if world == "direct" else f
     border, downset = _border(g)
     # one searcher, and so one failure memo, serves both checks
-    searcher = _searcher(g)
+    searcher = CoverSearcher(g)
     kw = _kwise(g, k, searcher)
     if not kw.ok:
         return Verdict(False, kw.witness, "not_kwise", downset)

@@ -11,6 +11,7 @@ import pytest
 
 import kwise
 from kwise import (
+    BuiltFamily,
     ConstructionParams,
     CoverWitness,
     CubeReport,
@@ -88,6 +89,13 @@ RESULT_TYPES = [
         ORACLE,
         "OracleResult(k=3, n=3, f_k_n=4, extremal_count=3, "
         "sample_extremal=Family(n=3, size=4))",
+    ),
+    (
+        BuiltFamily,
+        [("f", EMPTY), ("fbar", EMPTY), ("partition", EMPTY)],
+        BUILT,
+        f"BuiltFamily(f=Family(n=6, size=10), fbar=Family(n=6, size=10), "
+        f"partition={BUILT.partition!r})",
     ),
     (
         CubeReport,

@@ -394,7 +394,7 @@ def test_cover_table_sup_is_superset_min():
 def covers(f, target, j):
     """Whether some <= j members of f union to a superset of target, by the
     searcher over the maximal members."""
-    return CoverSearcher(maximal_elements(f).members, f.universe.n).find(target, j) is not None
+    return CoverSearcher(f).find(target, j) is not None
 
 
 def test_can_cover_star_example():
@@ -439,16 +439,16 @@ def test_can_cover_antitone_in_target(f, target, sub, j):
 
 
 def test_cover_searcher_edges():
-    s = CoverSearcher([0b011, 0b101], 3)
+    s = CoverSearcher(Family(Universe(3), [0b011, 0b101]))
     assert s.find(0, 1) == ()
     assert s.find(0b111, 0) is None
     got = s.find(0b111, 2)
     assert got is not None and (got[0] | got[1]) & 0b111 == 0b111
     # an earlier, smaller-budget query does not change a later answer
-    tops, target = (0b11011, 0b101000, 0b110111), 0b1011
-    s = CoverSearcher(tops, 6)
+    f, target = Family(Universe(6), (0b11011, 0b101000, 0b110111)), 0b1011
+    s = CoverSearcher(f)
     assert s.find(target, 1) == (0b11011,)
-    assert s.find(target, 3) == (0b110111, 0b11011) == CoverSearcher(tops, 6).find(target, 3)
+    assert s.find(target, 3) == (0b110111, 0b11011) == CoverSearcher(f).find(target, 3)
 
 
 def first_cover(tops, target, budget):
@@ -470,13 +470,29 @@ def first_cover(tops, target, budget):
 @given(families(max_n=7), st.lists(st.tuples(st.integers(0, 127), st.integers(0, 5)), max_size=12))
 @example(Family(Universe(6), (0b11011, 0b101000, 0b110111)), [(0b1011, 1), (0b1011, 3), (0b1011, 2)])
 def test_cover_searcher_answers_from_its_arguments_alone(f, queries):
-    tops, n = maximal_elements(f).members, f.universe.n
-    shared = CoverSearcher(tops, n)
+    shared = CoverSearcher(f)
     for target, budget in queries:
         target &= f.universe.full
         got = shared.find(target, budget)
-        assert got == CoverSearcher(tops, n).find(target, budget)
-        assert got == first_cover(tops, target, budget)
+        assert got == CoverSearcher(f).find(target, budget)
+        assert got == first_cover(f.members, target, budget)
+
+
+@given(
+    st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+        st.lists(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, 4)), max_size=8),
+    ))
+)
+@example((3, [0b001, 0b011, 0b011, 0b100, 0b110], [(0b111, 2), (0b101, 1), (0b111, 1)]))
+def test_cover_searcher_answers_as_over_the_raw_members(case):
+    """Duplicate and dominated members change no answer: the searcher built
+    from the family finds the first cover over the raw list."""
+    n, masks, queries = case
+    s = CoverSearcher(Family(Universe(n), masks))
+    for target, budget in queries:
+        assert s.find(target, budget) == first_cover(masks, target, budget)
 
 
 # --- word helpers ------------------------------------------------------------
