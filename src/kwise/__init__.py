@@ -48,11 +48,8 @@ _EXPORTS = {
             "build_cover_table",
             "complement_family",
             "cover_table_from_indicator",
-            "downset_closure",
             "elements_of",
             "is_downset",
-            "make_star",
-            "mask_of",
             "maximal_elements",
             "submasks",
         ),

@@ -9,8 +9,10 @@ greedy and the oracle never load it.
 The oracle, the greedy and maximal_arity_range read cover numbers from
 the cover-level words of setcore (level t holds the masks that at most t
 members cover, so level 1 is the down-closure), never from the verifier.
-Two cover numbers give the arities at which a family is maximal, so one
-down-set walk per n, reading each down-set off level 1, answers every k.
+Two cover numbers, read off the levels by _arity_range, give the arities
+at which a family is maximal, so one down-set walk per n, reading each
+down-set off level 1, answers every k. An arity below 2 fails in setcore's
+_require_k, as in the verifier.
 The oracle's walk takes the least asked arity and skips, exactly, every
 subtree of down-sets larger than the star's complement or not k-wise for
 that arity, so the answer and its first achiever stay the same.
@@ -24,17 +26,19 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import inf
 from typing import TYPE_CHECKING, NamedTuple
 
 from .setcore import (
     Family,
+    SetMask,
     Universe,
-    _arity_range,
     _cover_levels,
     _grow,
     _low_words,
     _member_word,
     _record,
+    _require_k,
     _reversed_word,
     _word_bits,
     complement_family,
@@ -69,6 +73,14 @@ class CubeReport(NamedTuple):
     partition: BlockPartition
     q_size: int
     distance: int
+
+
+def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
+    """(lo, hi) of maximal_arity_range from levels 0..n and gaps, the word
+    of full ^ x over the non-members x; a mask no level holds counts inf."""
+    hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
+    lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
+    return lo, hi
 
 
 def _downset_walk(n: int, kmin: int | None = None) -> Iterator[tuple[int, float, float]]:
@@ -151,8 +163,7 @@ def maximal_arity_range(g: Family) -> tuple[float, float]:
 def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
     """Exact minimum for every arity in ks from one pass over the down-sets.
     Each k keeps its first smallest achiever in enumeration order."""
-    if any(k < 2 for k in ks):
-        raise ValueError(f"arity k must be >= 2, got {min(ks)}")
+    _require_k(min(ks, default=2))
     if u.n > DOWNSET_MAX_N:
         raise ValueError(f"exhaustive oracle needs n <= {DOWNSET_MAX_N}, got n={u.n}")
     best: dict[int, int] = {}  # k -> down-set word of its first smallest achiever
@@ -198,8 +209,7 @@ def greedy_saturate(g0: Family, k: int, order_seed: int, *, order: str = "random
     u = g0.universe
     if u.n > GREEDY_MAX_N:
         raise ValueError(f"greedy saturation needs n <= {GREEDY_MAX_N}, got n={u.n}")
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
+    _require_k(k)
     if order not in ("random", "popcount"):
         raise ValueError(f"unknown candidate order {order!r}")
     size, full = u.num_masks, u.full

@@ -18,13 +18,14 @@ maximal member.
 CoverTable is a byte-per-mask view of levels 0..limit that no command or
 library path builds; the benchmark's tracer patches its names.
 _record gives the NamedTuple types of verifier, search and construction
-the equality of a frozen dataclass without loading dataclasses.
+the equality of a frozen dataclass without loading dataclasses, and
+_require_k is the arity check of the verifier and search; _arity_range,
+which only search runs, lives there.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress
-from math import inf
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -61,6 +62,11 @@ def _record(cls):
     cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
     cls._make = classmethod(lambda c, fields: c(*fields))
     return cls
+
+
+def _require_k(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"arity k must be >= 2, got {k}")
 
 
 class Universe:
@@ -101,16 +107,6 @@ class Universe:
 
     def __repr__(self) -> str:
         return f"Universe({self.n})"
-
-
-def mask_of(elements: Iterable[int], u: Universe) -> SetMask:
-    """Mask of a collection of 1-based elements."""
-    m = 0
-    for e in elements:
-        if not 1 <= e <= u.n:
-            raise ValueError(f"element {e} outside universe 1..{u.n}")
-        m |= 1 << (e - 1)
-    return m
 
 
 def elements_of(m: SetMask) -> tuple[int, ...]:
@@ -193,23 +189,6 @@ def is_downset(f: Family) -> bool:
                 return False
             rest ^= bit
     return True
-
-
-def downset_closure(f: Family) -> Family:
-    """Smallest down-set containing f (idempotent, extensive, monotone)."""
-    seen = set(f.members)
-    stack = list(f.members)
-    while stack:
-        m = stack.pop()
-        rest = m
-        while rest:
-            bit = rest & -rest
-            child = m ^ bit
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-            rest ^= bit
-    return Family(f.universe, seen)
 
 
 def maximal_elements(f: Family) -> Family:
@@ -320,19 +299,6 @@ def _cover_levels(f: Family, depth: int, low: Sequence[int]) -> tuple[int, ...]:
     for x in maximal_elements(f).members:
         levels = _grow(levels, x, low)
     return levels
-
-
-def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
-    """(lo, hi) of maximal_arity_range from levels 0..n and gaps, the word
-    of full ^ x over the non-members x; a mask no level holds counts inf."""
-    hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
-    lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
-    return lo, hi
-
-
-def make_star(u: Universe) -> Family:
-    """All 2^(n-1) subsets containing element 1."""
-    return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
 
 
 class CoverTable:

@@ -27,6 +27,7 @@ from .setcore import (
     _low_words,
     _member_word,
     _record,
+    _require_k,
     _word_bits,
     build_cover_table,  # noqa: F401  bench/tracer.py patches this binding
     complement_family,
@@ -54,11 +55,6 @@ class Verdict(NamedTuple):
     witness: CoverWitness | GapWitness | None = None
     reason: str | None = None  # "not_kwise" or "not_saturated"
     complement_downset: bool | None = None
-
-
-def _require_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"arity k must be >= 2, got {k}")
 
 
 def check_kwise(g: Family, k: int) -> Verdict:

@@ -1,7 +1,8 @@
 """Brute-force reference oracles, deliberately independent of the library's
 cover levels and search machinery, the numpy lattice folds that the
 modular-count tests use, and scan_greedy, the one-candidate-at-a-time
-greedy that the level-word greedy replaced."""
+greedy that the level-word greedy replaced. Also the fixtures mask_of and
+make_star, and closure, the down-closure read off cover level 1."""
 
 import random
 from itertools import combinations, combinations_with_replacement
@@ -13,9 +14,32 @@ from kwise.setcore import (
     _cover_levels,
     _grow,
     _low_words,
-    downset_closure,
+    _word_bits,
     maximal_elements,
+    submasks,
 )
+
+
+def mask_of(elements, u):
+    """Mask of a collection of 1-based elements."""
+    m = 0
+    for e in elements:
+        if not 1 <= e <= u.n:
+            raise ValueError(f"element {e} outside universe 1..{u.n}")
+        m |= 1 << (e - 1)
+    return m
+
+
+def make_star(u):
+    """All 2^(n-1) subsets containing element 1."""
+    return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
+
+
+def closure(f):
+    """Smallest down-set containing f: cover level 1, the masks under some
+    member, less the empty set that level 1 holds when f has no members."""
+    level = _cover_levels(f, 1, tuple(_low_words(f.universe.n)))[1]
+    return Family(f.universe, _word_bits(level) if f.members else ())
 
 
 def naive_min_cover(members, n, j_max):
@@ -163,10 +187,11 @@ def naive_maximal_elements(members):
 
 def lex_antichain_downsets(u):
     """Every down-set over u once, as the set-based closure of each antichain
-    of tops, antichains extended in lexicographic mask order."""
+    of tops (the union of their submasks), antichains extended in
+    lexicographic mask order."""
 
     def extend(tops, start):
-        yield downset_closure(Family(u, tops))
+        yield Family(u, (s for t in tops for s in submasks(t)))
         for m in range(start, u.num_masks):
             if all(m | t not in (m, t) for t in tops):
                 tops.append(m)

@@ -10,7 +10,6 @@ from kwise import (
     Universe,
     build_family,
     cube_distance,
-    downset_closure,
     enumerate_downsets,
     expected_size,
     greedy_saturate,
@@ -20,7 +19,13 @@ from kwise import (
 )
 from kwise.search import maximal_arity_range
 from kwise.setcore import _cover_levels, _low_words
-from oracles import brute_first_unsaturated, brute_kwise_ok, naive_min_cover, superset_min
+from oracles import (
+    brute_first_unsaturated,
+    brute_kwise_ok,
+    closure,
+    naive_min_cover,
+    superset_min,
+)
 
 
 def _report(name, ok, detail=""):
@@ -174,7 +179,7 @@ def test_criterion_cover_dp_matches_naive():
         n = rng.randint(4, 10)
         u = Universe(n)
         seeds = [rng.randrange(1 << n) for _ in range(rng.randint(1, 12))]
-        f = downset_closure(Family(u, seeds))
+        f = closure(Family(u, seeds))
         j_max = rng.randint(1, 4)
         levels = _cover_levels(f, j_max, tuple(_low_words(n)))
         numbers = bytes(

@@ -30,6 +30,22 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # --- the lazy package -----------------------------------------------------------
 
 
+def test_exports_are_the_recorded_list():
+    # a change to the package surface must edit this list
+    assert kwise.__all__ == [
+        "BlockPartition", "BuiltFamily", "ConstructionParams", "CoverSearcher",
+        "CoverTable", "CoverWitness", "CubeReport", "Family", "GapWitness",
+        "OracleResult", "SetMask", "Universe", "Verdict", "build_cover_table",
+        "build_f1", "build_f2", "build_family", "check_kwise", "check_saturated",
+        "complement_family", "cover_table_from_indicator", "cube_distance",
+        "elements_of", "enumerate_downsets", "expected_size", "format_set_line",
+        "greedy_saturate", "is_downset", "is_maximal_kwise", "make_partition",
+        "maximal_elements", "minimize_cube_distance", "oracle_min_size",
+        "parse_set_line", "read_family", "size_table", "submasks", "verify_witness",
+        "write_family",
+    ]
+
+
 def test_every_export_is_its_defining_modules_object():
     for name in kwise.__all__:
         module = importlib.import_module(f"kwise.{kwise._EXPORTS[name]}")

@@ -487,7 +487,7 @@ if sys.argv[1] == "block":
     sys.modules["numpy"] = None
 if sys.argv[2:] == ["library"]:
     from kwise import *
-    g = downset_closure(Family(Universe(4), [0b0011, 0b0100]))
+    g = Family(Universe(4), range(5))  # the down-closure of {0b0011, 0b0100}
     v = is_maximal_kwise(g, 3, "complement")
     print(v.reason, v.witness, verify_witness(v, g, 3))
     code = 0

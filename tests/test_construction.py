@@ -13,9 +13,9 @@ from kwise import (
     expected_size,
     is_downset,
     make_partition,
-    mask_of,
     submasks,
 )
+from oracles import mask_of
 
 
 def test_params_validation():

@@ -327,6 +327,10 @@ def test_oracle_validation():
         oracle_min_size(1, Universe(3))
     with pytest.raises(ValueError):
         oracle_min_size(2, Universe(6))
+    # the message names the least k, and no arity asks for nothing
+    with pytest.raises(ValueError, match="^arity k must be >= 2, got 0$"):
+        _oracle_results((3, 1, 0), Universe(3))
+    assert _oracle_results((), Universe(3)) == {}
 
 
 # --- greedy saturation -------------------------------------------------------
@@ -387,6 +391,11 @@ def test_greedy_rejects_bad_seed_family():
         greedy_saturate(Family(u), 1, 0)
     with pytest.raises(ValueError):
         greedy_saturate(Family(u), 3, 0, order="sideways")
+    with pytest.raises(ValueError, match="^arity k must be >= 2, got 0$"):
+        greedy_saturate(Family(u), 0, 0)
+    # n is checked before k
+    with pytest.raises(ValueError, match="^greedy saturation needs n <= 20, got n=21$"):
+        greedy_saturate(Family(Universe(21)), 0, 0)
 
 
 def test_greedy_rejects_unknown_order_before_the_seed_check():

@@ -11,18 +11,18 @@ from kwise import (
     build_cover_table,
     complement_family,
     cover_table_from_indicator,
-    downset_closure,
     elements_of,
     is_downset,
-    make_star,
-    mask_of,
     maximal_elements,
     submasks,
 )
 from kwise.setcore import ALGEBRA_MAX_N, _word_bits
 from oracles import (
+    closure,
     fold_subsets,
     fold_supersets,
+    make_star,
+    mask_of,
     moebius_mod,
     naive_is_downset,
     naive_maximal_elements,
@@ -41,7 +41,7 @@ def random_family(rng, n, max_members=12):
 
 
 def random_downset(rng, n, seeds=10):
-    return downset_closure(random_family(rng, n, seeds))
+    return closure(random_family(rng, n, seeds))
 
 
 @st.composite
@@ -65,7 +65,7 @@ def wide_families(draw):
     narrow = st.frozensets(st.integers(0, n - 1), max_size=5).map(
         lambda bits: sum(1 << b for b in bits)
     )
-    members = set(downset_closure(Family(u, draw(st.lists(narrow, max_size=4)))).members)
+    members = {s for m in draw(st.lists(narrow, max_size=4)) for s in submasks(m)}
     if kind == "closure-minus" and members:
         members.discard(draw(st.sampled_from(sorted(members))))
     elif kind == "closure-plus":
@@ -185,13 +185,15 @@ def test_setcore_primitives_on_trivial_downsets(f, tops):
 
 def test_downset_closure_example():
     u = Universe(2)
-    assert downset_closure(fam(u, (1, 2))) == fam(u, (), (1,), (2,), (1, 2))
+    assert closure(fam(u, (1, 2))) == fam(u, (), (1,), (2,), (1, 2))
+    assert closure(fam(u, ())) == fam(u, ())
+    assert closure(Family(u)) == Family(u)  # level 1 holds the empty set even then
 
 
 def test_downset_closure_matches_naive_scan():
     rng = random.Random(11)
     f = random_family(rng, 10)
-    closed = downset_closure(f)
+    closed = closure(f)
     below = sum(
         1 for m in range(1 << 10) if any(m | t == t for t in f.members)
     )
@@ -200,17 +202,18 @@ def test_downset_closure_matches_naive_scan():
 
 
 @given(families())
+@example(Family(Universe(3)))
 def test_downset_closure_idempotent_extensive(f):
-    closed = downset_closure(f)
+    closed = closure(f)
     assert set(f.members) <= set(closed.members)
-    assert downset_closure(closed) == closed
+    assert closure(closed) == closed
     assert is_downset(closed)
 
 
 @given(families(max_n=6), st.frozensets(st.integers(0, 63), max_size=6))
 def test_downset_closure_monotone(f, extra):
     g = Family(f.universe, set(f.members) | {m & f.universe.full for m in extra})
-    assert set(downset_closure(f).members) <= set(downset_closure(g).members)
+    assert set(closure(f).members) <= set(closure(g).members)
 
 
 def test_maximal_elements_examples():
@@ -239,7 +242,7 @@ def test_maximal_elements_across_popcount_levels(shape, size):
         members |= {m for m in range(1 << 7) if m.bit_count() == 6}
     else:
         layer = [m for m in range(1 << 10) if m.bit_count() == 5]
-        members = set(downset_closure(Family(u, layer)).members)
+        members = set(closure(Family(u, layer)).members)
     if shape == "not-downset":
         # drop the empty set and the pairs, and add a 7-set over 21 of the tops
         members -= {m for m in members if m.bit_count() in (0, 2)}
@@ -257,7 +260,7 @@ def test_maximal_elements_across_containment_chunks(chunk, shape):
     # split f into runs of `chunk` members and merge their tops
     u = Universe(10)
     layer = [m for m in range(1 << 10) if m.bit_count() == 5]
-    members = set(downset_closure(Family(u, layer)).members)
+    members = set(closure(Family(u, layer)).members)
     if shape == "not-downset":
         members -= {m for m in members if m.bit_count() in (0, 2)}
         members.add(0b1111111)
@@ -279,7 +282,9 @@ def test_maximal_elements_vs_quadratic_oracle():
     f = build_family(ConstructionParams(3, 6)).f
     tops = maximal_elements(f)
     assert list(tops.members) == naive_maximal_elements(f.members)
-    assert downset_closure(tops) == downset_closure(f)
+    # closure reads level 1, which grows from maximal_elements, so compare
+    # with the submasks of every member instead of closure(f)
+    assert closure(tops) == Family(f.universe, (s for m in f for s in submasks(m)))
 
 
 # --- lattice kernel ----------------------------------------------------------
@@ -311,7 +316,7 @@ def test_fold_supersets_closure_and_min():
     ind = np.zeros(1 << 7, dtype=bool)
     ind[list(f.members)] = True
     closed = fold_supersets(ind, np.logical_or)
-    assert set(np.flatnonzero(closed).tolist()) == set(downset_closure(f).members)
+    assert set(np.flatnonzero(closed).tolist()) == set(closure(f).members)
     vals = np.random.default_rng(4).integers(0, 100, 1 << 7)
     sup = fold_supersets(vals.copy(), np.minimum)
     for m in range(1 << 7):
@@ -353,7 +358,7 @@ def test_cover_table_input_validation():
 
 def test_cover_table_from_indicator_takes_any_01_sequence():
     u = Universe(4)
-    f = downset_closure(fam(u, (1, 2), (3,), (2, 4)))
+    f = closure(fam(u, (1, 2), (3,), (2, 4)))
     want = build_cover_table(f, 3).sup
     ind = [int(m in f) for m in range(16)]
     for seq in (ind, bytes(ind), np.array(ind), np.array(ind, dtype=bool)):

@@ -16,10 +16,8 @@ from kwise import (
     check_kwise,
     check_saturated,
     complement_family,
-    downset_closure,
     is_downset,
     is_maximal_kwise,
-    make_star,
     maximal_elements,
     verify_witness,
 )
@@ -28,9 +26,11 @@ from kwise.search import maximal_arity_range
 from oracles import (
     brute_first_unsaturated,
     brute_kwise_ok,
+    closure,
     completable,
     fold_subsets,
     fold_supersets,
+    make_star,
     moebius_mod,
 )
 
@@ -85,6 +85,8 @@ def test_kwise_backends_equal_on_failures():
 def test_kwise_requires_k_at_least_2():
     with pytest.raises(ValueError):
         check_kwise(Family(Universe(3), [1]), 1)
+    with pytest.raises(ValueError, match="^arity k must be >= 2, got 0$"):
+        check_kwise(Family(Universe(3), [1]), 0)
 
 
 def test_kwise_monotone_in_k():
@@ -163,7 +165,7 @@ def test_border_matches_definition():
         cases += [Family(u), Family(u, range(u.num_masks))]
         for _ in range(6):
             f = random_family(rng, n, max_members=3 * n)
-            cases += [f, downset_closure(f)]
+            cases += [f, closure(f)]
     for g in cases:
         border, downset = verifier._border(g)
         assert border == _border_by_definition(g.members, g.universe.n), g
@@ -254,7 +256,7 @@ def _check_against_cover_numbers(g, k):
 def test_backends_agree_on_random_downsets():
     rng = random.Random(21)
     for _ in range(25):
-        g = downset_closure(random_family(rng, rng.randint(3, 8)))
+        g = closure(random_family(rng, rng.randint(3, 8)))
         for k in (2, 3, 4):
             _check_against_cover_numbers(g, k)
 
