@@ -8,8 +8,8 @@ cover queries over the subset lattice decide everything.
 
 The package loads lazily: importing it loads no submodule, and each export
 loads its defining module on first access. So `python -m kwise verify`
-loads only cli, familyio, setcore and verifier, and `kwise greedy` adds
-search but not construction.
+loads only cli, familyio, setcore and verifier, and `kwise greedy` and
+`kwise cube` add search but not construction.
 """
 
 __version__ = "0.1.0"
@@ -30,12 +30,10 @@ _EXPORTS = {
         ),
         "familyio": ("format_set_line", "parse_set_line", "read_family", "write_family"),
         "search": (
-            "CubeReport",
             "OracleResult",
-            "cube_distance",
+            "cube_blocks",
             "enumerate_downsets",
             "greedy_saturate",
-            "minimize_cube_distance",
             "oracle_min_size",
             "size_table",
         ),

@@ -1,4 +1,4 @@
-"""Command line interface: construct, verify, oracle, greedy, distance, table.
+"""Command line interface: construct, verify, oracle, greedy, cube, table.
 
 Output is deterministic given identical flags and seed. verify emits a
 one-line JSON verdict; the other subcommands emit TSV (or JSON with
@@ -51,14 +51,6 @@ def _parse_range(parser: _Parser, text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_block_params(parser: _Parser, ns: argparse.Namespace, subject: str) -> None:
-    """The block construction's own bounds: k >= 3 and n >= 2(k-1)."""
-    if ns.k < 3:
-        parser.error(f"{subject} requires k >= 3, got {ns.k}")
-    if ns.n < 2 * (ns.k - 1):
-        parser.error(f"{subject} requires n >= 2(k-1) = {2 * (ns.k - 1)}, got {ns.n}")
-
-
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """The parsed flags; ns.handler(ns) runs the chosen subcommand."""
     parser = _Parser(prog="kwise", description=__doc__)
@@ -104,14 +96,11 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_greedy.add_argument("--out", help="directory for the resulting family files")
     p_greedy.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
-    p_distance = sub.add_parser("distance", help="cube distance of a family from its partition")
-    p_distance.set_defaults(handler=_cmd_distance)
-    p_distance.add_argument("--k", type=int, required=True)
-    p_distance.add_argument("--n", type=int, required=True)
-    p_distance.add_argument("--in", dest="input_path", help="family file (construction by default)")
-    p_distance.add_argument("--minimize", action="store_true",
-                            help="also minimise over all balanced partitions (n <= 8)")
-    p_distance.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
+    p_cube = sub.add_parser("cube", help="recognise a cube family and name its blocks")
+    p_cube.set_defaults(handler=_cmd_cube)
+    p_cube.add_argument("input_path", metavar="family", nargs="?", default="-",
+                        help="complement-world family file, - for stdin")
+    p_cube.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     p_table = sub.add_parser(
         "table", help="construction size, closed form and exact minimum over (k, n) ranges")
@@ -122,7 +111,10 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
     ns = parser.parse_args(argv)
     if ns.command == "construct":
-        _check_block_params(parser, ns, "construction")
+        if ns.k < 3:
+            parser.error(f"construction requires k >= 3, got {ns.k}")
+        if ns.n < 2 * (ns.k - 1):
+            parser.error(f"construction requires n >= 2(k-1) = {2 * (ns.k - 1)}, got {ns.n}")
         if ns.n > _CONSTRUCT_MAX_N:
             parser.error(f"construction output capped at n <= {_CONSTRUCT_MAX_N}")
     elif ns.command == "verify":
@@ -144,15 +136,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             parser.error(f"greedy saturation requires 1 <= n <= {GREEDY_MAX_N}")
         if ns.runs < 1:
             parser.error(f"--runs must be >= 1, got {ns.runs}")
-    elif ns.command == "distance":
-        _check_block_params(parser, ns, "the cube probe")
-        if ns.n > _CONSTRUCT_MAX_N:
-            parser.error(f"the cube probe is capped at n <= {_CONSTRUCT_MAX_N}")
-        if ns.minimize:
-            from .search import MINIMIZE_MAX_N
-
-            if ns.n > MINIMIZE_MAX_N:
-                parser.error(f"--minimize requires n <= {MINIMIZE_MAX_N}")
     elif ns.command == "table":
         ns.k_range = _parse_range(parser, ns.k)
         ns.n_range = _parse_range(parser, ns.n)
@@ -309,33 +292,19 @@ def _cmd_greedy(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_distance(ns: argparse.Namespace) -> int:
-    from .construction import ConstructionParams, build_family, make_partition
-    from .search import cube_distance, minimize_cube_distance
-    from .setcore import elements_of
+def _cmd_cube(ns: argparse.Namespace) -> int:
+    from .familyio import format_set_line
+    from .search import cube_blocks
 
-    p = ConstructionParams(ns.k, ns.n)
-    if ns.input_path:
-        partition = make_partition(p)
-        fam = _read_input_family(ns.input_path, ns.n)
-    else:
-        fam, _, partition = build_family(p)
-    rep = cube_distance(fam, partition)
+    fam = _read_input_family(ns.input_path)
+    blocks = cube_blocks(fam)
     row = {
-        "k": ns.k,
-        "n": ns.n,
-        "block_sizes": ",".join(map(str, partition.block_sizes())),
-        "q_size": rep.q_size,
-        "distance": rep.distance,
+        "n": fam.universe.n,
         "size": len(fam),
+        "cube": int(blocks is not None),
+        "blocks": None if blocks is None else "|".join(map(format_set_line, blocks)),
     }
-    if ns.minimize:
-        best = minimize_cube_distance(fam, p.num_blocks)
-        row["min_distance"] = best.distance
-        row["min_blocks"] = "|".join(
-            ",".join(map(str, elements_of(b))) for b in best.partition.blocks
-        )
-    _emit_rows(ns.fmt, "distance", [row])
+    _emit_rows(ns.fmt, "cube", [row])
     return EXIT_OK
 
 

@@ -3,9 +3,10 @@
 Exhaustive down-set enumeration at tiny n (the complement world of any
 maximal family is a down-set, so down-sets are the whole search space), an
 exact minimum-size oracle over it, seeded greedy saturation at medium n,
-cube-distance reports against block partitions and an aggregate size table.
-Only size_table and minimize_cube_distance import construction, so the
-greedy and the oracle never load it.
+an exact recogniser of the cube families (cube_blocks, which reads only a
+family's maximal members) and an aggregate size table. Only size_table
+imports construction, so the greedy, the oracle and the recogniser never
+load it.
 The oracle, the greedy and maximal_arity_range read cover numbers from
 the cover-level words of setcore (level t holds the masks that at most t
 members cover, so level 1 is the down-closure), never from the verifier.
@@ -25,7 +26,6 @@ mask, and returns level 1.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import inf
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -42,16 +42,14 @@ from .setcore import (
     _reversed_word,
     _word_bits,
     complement_family,
+    maximal_elements,
 )
 
 if TYPE_CHECKING:
     from typing import Iterator, Sequence
 
-    from .construction import BlockPartition
-
 DOWNSET_MAX_N = 5
 GREEDY_MAX_N = 20
-MINIMIZE_MAX_N = 8
 
 
 @_record
@@ -64,15 +62,6 @@ class OracleResult(NamedTuple):
     f_k_n: int
     extremal_count: int
     sample_extremal: Family
-
-
-@_record
-class CubeReport(NamedTuple):
-    """How far a family sits from the union of its partition's cubes."""
-
-    partition: BlockPartition
-    q_size: int
-    distance: int
 
 
 def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
@@ -166,9 +155,11 @@ def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
     _require_k(min(ks, default=2))
     if u.n > DOWNSET_MAX_N:
         raise ValueError(f"exhaustive oracle needs n <= {DOWNSET_MAX_N}, got n={u.n}")
+    if not ks:
+        return {}
     best: dict[int, int] = {}  # k -> down-set word of its first smallest achiever
     count = dict.fromkeys(ks, 0)
-    for d, lo, hi in _downset_walk(u.n, min(ks, default=2)):
+    for d, lo, hi in _downset_walk(u.n, min(ks)):
         size = d.bit_count()
         for k in count:  # each arity once, even if ks repeats it
             if not lo <= k < hi:
@@ -260,68 +251,35 @@ def _popcount_layers(n: int) -> list[int]:
     return layers
 
 
-def cube_distance(f: Family, bp: BlockPartition) -> CubeReport:
-    """Count the members of f lying outside every single block's powerset."""
-    if bp.universe != f.universe:
-        raise ValueError("partition and family universes differ")
-    blocks = bp.blocks
-    outside = 0
-    for m in f.members:
-        if all(m & ~b for b in blocks):
-            outside += 1
-    # the cubes pairwise intersect in exactly the empty set
-    q_size = sum(1 << b.bit_count() for b in blocks) - (len(blocks) - 1)
-    return CubeReport(bp, q_size, outside)
+def cube_blocks(g: Family) -> tuple[SetMask, ...] | None:
+    """The blocks, ordered by least element, when g (complement world) is
+    the cube family Q(B_1, .., B_t): the empty set, every singleton and
+    every proper subset of each block, the blocks pairwise disjoint with at
+    least 3 elements each. None when g is any other family.
 
-
-def _partitions(
-    elems: tuple[int, ...], sizes: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Unordered partitions of elems with the given block size multiset,
-    each exactly once: the smallest remaining element picks its block."""
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    tried: set[int] = set()
-    for pos, s in enumerate(sizes):
-        if s in tried:
-            continue
-        tried.add(s)
-        remaining = sizes[:pos] + sizes[pos + 1 :]
-        for chosen in combinations(rest, s - 1):
-            block = (first, *chosen)
-            left = tuple(e for e in rest if e not in chosen)
-            for tail in _partitions(left, remaining):
-                yield (block, *tail)
-
-
-def minimize_cube_distance(f: Family, num_blocks: int) -> CubeReport:
-    """Exhaustive minimum of cube_distance over all unordered partitions of
-    the universe into num_blocks near-equal blocks (n <= 8 only; the space
-    is super-exponential)."""
-    from .construction import BlockPartition
-
-    u = f.universe
-    if u.n > MINIMIZE_MAX_N:
-        raise ValueError(f"partition minimisation needs n <= {MINIMIZE_MAX_N}, got n={u.n}")
-    if not 1 <= num_blocks <= u.n:
-        raise ValueError(f"need between 1 and {u.n} blocks, got {num_blocks}")
-    q, r = divmod(u.n, num_blocks)
-    sizes = tuple([q + 1] * r + [q] * (num_blocks - r))
-    best: CubeReport | None = None
-    for blocks in _partitions(tuple(range(1, u.n + 1)), sizes):
-        ordered = sorted(blocks, key=lambda b: (-len(b), b[0]))
-        bp = BlockPartition(
-            u,
-            tuple(sum(1 << (e - 1) for e in b) for b in ordered),
-            tuple(b[0] for b in ordered),
-        )
-        rep = cube_distance(f, bp)
-        if best is None or rep.distance < best.distance:
-            best = rep
-    assert best is not None
-    return best
+    Q's tops are the sets B - {b} of each block B, which meet within a
+    block and miss those of every other, and the singletons outside every
+    block. So the tops of two or more elements merge by intersection into
+    the candidate blocks, and g's tops must be exactly the tops that Q of
+    those blocks has. Each member lies under a top, so g then lies within
+    Q, and equals it when the sizes agree. O(tops * n) past maximal_elements.
+    """
+    tops = maximal_elements(g).members
+    blocks: list[SetMask] = []  # disjoint: each top merges the blocks it meets
+    for t in tops:
+        if t & (t - 1):
+            for b in [b for b in blocks if b & t]:
+                blocks.remove(b)
+                t |= b
+            blocks.append(t)
+    bits = [1 << i for i in range(g.universe.n)]
+    spans = sum(blocks)
+    want = {b ^ bit for b in blocks for bit in bits if b & bit}
+    want.update(bit for bit in bits if not spans & bit)
+    size = 1 + len(bits) - spans.bit_count() + sum((1 << b.bit_count()) - 2 for b in blocks)
+    if set(tops) != want or len(g) != size:
+        return None
+    return tuple(sorted(blocks, key=lambda b: b & -b))
 
 
 def size_table(ks: Sequence[int], ns: Sequence[int]) -> list[dict]:

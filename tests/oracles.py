@@ -1,8 +1,9 @@
 """Brute-force reference oracles, deliberately independent of the library's
 cover levels and search machinery, the numpy lattice folds that the
 modular-count tests use, and scan_greedy, the one-candidate-at-a-time
-greedy that the level-word greedy replaced. Also the fixtures mask_of and
-make_star, and closure, the down-closure read off cover level 1."""
+greedy that the level-word greedy replaced. Also the fixtures mask_of,
+make_star and cube_family, and closure, the down-closure read off cover
+level 1."""
 
 import random
 from itertools import combinations, combinations_with_replacement
@@ -11,6 +12,7 @@ import numpy as np
 
 from kwise.setcore import (
     Family,
+    Universe,
     _cover_levels,
     _grow,
     _low_words,
@@ -33,6 +35,15 @@ def mask_of(elements, u):
 def make_star(u):
     """All 2^(n-1) subsets containing element 1."""
     return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
+
+
+def cube_family(n, blocks):
+    """The cube family Q(blocks) over [n]: the empty set, every singleton and
+    every proper subset of each block."""
+    masks = {0, *(1 << i for i in range(n))}
+    for b in blocks:
+        masks.update(s for s in submasks(b) if s != b)
+    return Family(Universe(n), masks)
 
 
 def closure(f):

@@ -9,7 +9,7 @@ from kwise import (
     Family,
     Universe,
     build_family,
-    cube_distance,
+    cube_blocks,
     enumerate_downsets,
     expected_size,
     greedy_saturate,
@@ -196,23 +196,28 @@ def test_criterion_cover_dp_matches_naive():
     )
 
 
-def test_criterion_cube_distance_probe():
-    """The construction sits inside its own cubes for k=3 and a constant
-    fraction outside them for k in 4..5."""
-    ok = True
-    for n in _divisible_cells(3, 20):
+def test_criterion_construction_cube_families():
+    """At k=3 the construction is the cube family of its blocks of size at
+    least 3; at n = 2(k-1), where every block has 2 elements, it is the cube
+    family of the k-1 specials; at k in 4..5 and every larger n up to 20 it
+    is no cube family."""
+    wrong = []
+    for n in range(4, 21):
         built = build_family(ConstructionParams(3, n))
-        if cube_distance(built.f, built.partition).distance != 0:
-            ok = False
+        want = tuple(b for b in built.partition.blocks if b.bit_count() >= 3)
+        if cube_blocks(built.f) != want:
+            wrong.append((3, n))
+    for k in range(4, 9):
+        built = build_family(ConstructionParams(k, 2 * (k - 1)))
+        if cube_blocks(built.f) != (built.partition.specials_mask,):
+            wrong.append((k, 2 * (k - 1)))
     for k in (4, 5):
-        for n in _divisible_cells(k, 20):
-            built = build_family(ConstructionParams(k, n))
-            rep = cube_distance(built.f, built.partition)
-            m = n // (k - 1)
-            bound = ((1 << (k - 3)) - 1) * (k - 1) * ((1 << m) - 4)
-            if rep.distance < bound:
-                ok = False
+        for n in range(2 * (k - 1) + 1, 21):
+            if cube_blocks(build_family(ConstructionParams(k, n)).f) is not None:
+                wrong.append((k, n))
     _report(
-        "cube distance: zero for k=3, at least the block-term bound for k in 4..5",
-        ok,
+        "cube families: the k=3 construction, and the specials' cube at n=2(k-1) "
+        "for k in 4..8; none at k in 4..5 above 2(k-1) up to n=20",
+        not wrong,
+        f"wrong cells={wrong}" if wrong else "",
     )

@@ -14,13 +14,11 @@ from kwise import (
     BuiltFamily,
     ConstructionParams,
     CoverWitness,
-    CubeReport,
     GapWitness,
     OracleResult,
     Universe,
     Verdict,
     build_family,
-    cube_distance,
     oracle_min_size,
 )
 
@@ -34,15 +32,13 @@ def test_exports_are_the_recorded_list():
     # a change to the package surface must edit this list
     assert kwise.__all__ == [
         "BlockPartition", "BuiltFamily", "ConstructionParams", "CoverSearcher",
-        "CoverTable", "CoverWitness", "CubeReport", "Family", "GapWitness",
-        "OracleResult", "SetMask", "Universe", "Verdict", "build_cover_table",
-        "build_f1", "build_f2", "build_family", "check_kwise", "check_saturated",
-        "complement_family", "cover_table_from_indicator", "cube_distance",
-        "elements_of", "enumerate_downsets", "expected_size", "format_set_line",
-        "greedy_saturate", "is_downset", "is_maximal_kwise", "make_partition",
-        "maximal_elements", "minimize_cube_distance", "oracle_min_size",
-        "parse_set_line", "read_family", "size_table", "submasks", "verify_witness",
-        "write_family",
+        "CoverTable", "CoverWitness", "Family", "GapWitness", "OracleResult", "SetMask",
+        "Universe", "Verdict", "build_cover_table", "build_f1", "build_f2", "build_family",
+        "check_kwise", "check_saturated", "complement_family", "cover_table_from_indicator",
+        "cube_blocks", "elements_of", "enumerate_downsets", "expected_size",
+        "format_set_line", "greedy_saturate", "is_downset", "is_maximal_kwise",
+        "make_partition", "maximal_elements", "oracle_min_size", "parse_set_line",
+        "read_family", "size_table", "submasks", "verify_witness", "write_family",
     ]
 
 
@@ -83,7 +79,6 @@ def test_import_loads_no_submodule():
 # --- result types ----------------------------------------------------------------
 
 BUILT = build_family(ConstructionParams(4, 6))
-REPORT = cube_distance(BUILT.f, BUILT.partition)
 ORACLE = oracle_min_size(3, Universe(3))
 
 # (class, [(field, default or EMPTY)], one instance built positionally, its repr)
@@ -112,13 +107,6 @@ RESULT_TYPES = [
         BUILT,
         f"BuiltFamily(f=Family(n=6, size=10), fbar=Family(n=6, size=10), "
         f"partition={BUILT.partition!r})",
-    ),
-    (
-        CubeReport,
-        [("partition", EMPTY), ("q_size", EMPTY), ("distance", EMPTY)],
-        REPORT,
-        f"CubeReport(partition={BUILT.partition!r}, q_size={REPORT.q_size}, "
-        f"distance={REPORT.distance})",
     ),
 ]
 IDS = [c[0].__name__ for c in RESULT_TYPES]

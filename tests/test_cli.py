@@ -69,8 +69,7 @@ USAGE_ERRORS = [
     (["greedy", "--k", "3", "--n", "30"], "kwise: error: greedy saturation requires 1 <= n <= 20"),
     (["table", "--k", "5..3", "--n", "4"], "kwise: error: empty range '5..3'"),
     (["table", "--k", "x", "--n", "4"], "kwise: error: bad range 'x', expected INT or LO..HI"),
-    (["distance", "--k", "4", "--n", "9", "--minimize"],
-     "kwise: error: --minimize requires n <= 8"),
+    (["cube", "--minimize"], "kwise: error: unrecognized arguments: --minimize"),
     (["nonsense"], "kwise: error: argument command: invalid choice: 'nonsense'"),
     (["verify", "--k", "2", "--frobnicate"], "kwise: error: unrecognized arguments: --frobnicate"),
     (["verify", "--k", "3", "--backend", "bogus"],
@@ -79,9 +78,8 @@ USAGE_ERRORS = [
     (["greedy", "--k", "3", "--n", "8", "--runs", "0"], "kwise: error: --runs must be >= 1, got 0"),
     (["table", "--k", "2", "--n", "25"], "kwise: error: table requires 1 <= n <= 24"),
     (["table", "--k", "1", "--n", "3"], "kwise: error: table requires k >= 2"),
-    (["distance", "--k", "2", "--n", "9"], "kwise: error: the cube probe requires k >= 3, got 2"),
-    (["distance", "--k", "4", "--n", "5"],
-     "kwise: error: the cube probe requires n >= 2(k-1) = 6, got 5"),
+    (["cube", "--format", "xml"], "kwise cube: error: argument --format: invalid choice: 'xml'"),
+    (["cube", "a.txt", "b.txt"], "kwise: error: unrecognized arguments: b.txt"),
     # greedy runs are `kwise greedy`'s alone
     (["table", "--k", "3", "--n", "8", "--runs", "1"],
      "kwise: error: unrecognized arguments: --runs 1"),
@@ -106,7 +104,7 @@ def test_usage_errors_exit_1(argv, last_line, capsys):
         assert last == last_line
 
 
-SUBCOMMANDS = ("construct", "verify", "oracle", "greedy", "distance", "table")
+SUBCOMMANDS = ("construct", "verify", "oracle", "greedy", "cube", "table")
 
 
 @pytest.mark.parametrize("argv", [["--help"], *([sub, "--help"] for sub in SUBCOMMANDS)])
@@ -258,7 +256,7 @@ def test_verify_malformed_family_exit_1(capsys, monkeypatch):
     assert code == 1 and "error" in err
 
 
-# --- oracle, greedy, distance, table ------------------------------------------
+# --- oracle, greedy, cube, table ----------------------------------------------
 
 
 def test_oracle_tsv(capsys):
@@ -279,13 +277,9 @@ def test_oracle_json(capsys):
 @pytest.mark.parametrize("argv,columns", [
     (["greedy", "--k", "3", "--n", "7", "--runs", "2", "--seed", "1"],
      ["k", "n", "seed", "order", "size", "maximal"]),
-    (["distance", "--k", "3", "--n", "6"],
-     ["k", "n", "block_sizes", "q_size", "distance", "size"]),
-    (["distance", "--k", "3", "--n", "6", "--minimize"],
-     ["k", "n", "block_sizes", "q_size", "distance", "size", "min_distance", "min_blocks"]),
     (["table", "--k", "2..4", "--n", "3..5"],
      ["k", "n", "size", "formula", "oracle", "greedy_min"]),
-], ids=["greedy", "distance", "distance-minimize", "table"])
+], ids=["greedy", "table"])
 def test_json_rows_match_tsv(capsys, argv, columns):
     # both formats come from the same rows: the TSV columns are the row
     # keys in order, an empty TSV cell is a JSON null
@@ -384,38 +378,40 @@ def test_greedy_popcount_runs_once_for_every_seed(capsys, monkeypatch, tmp_path)
     assert calls == ["greedy_saturate", "is_maximal_kwise"] * 3
 
 
-def test_distance_in_builds_no_family(capsys, monkeypatch, tmp_path):
-    from kwise import construction
+# the construction's cube family has its two blocks; at (4, 9) it is none,
+# and at (3, 4), with blocks of 2, it is the cube family with no blocks
+CUBE_ROWS = [
+    (3, 10, "10\t61\t1\t1,2,3,4,5|6,7,8,9,10", "1,2,3,4,5|6,7,8,9,10"),
+    (4, 9, "9\t34\t0\t", None),
+    (3, 4, "4\t5\t1\t", ""),
+]
 
+
+@pytest.mark.parametrize(("k", "n", "tsv_row", "blocks"), CUBE_ROWS,
+                         ids=[f"k{c[0]}n{c[1]}" for c in CUBE_ROWS])
+def test_cube_rows(k, n, tsv_row, blocks, capsys, monkeypatch, tmp_path):
+    _, family_text, _ = run_cli(capsys, "construct", "--k", str(k), "--n", str(n))
     path = tmp_path / "fam.txt"
-    path.write_text(write_family(build_family(ConstructionParams(4, 9)).f), encoding="utf-8")
-    want = run_cli(capsys, "distance", "--k", "4", "--n", "9")
-
-    def refuse(p):
-        raise AssertionError("distance --in built the construction family")
-
-    monkeypatch.setattr(construction, "build_family", refuse)
-    assert run_cli(capsys, "distance", "--k", "4", "--n", "9", "--in", str(path)) == want
-
-
-def test_distance_construction(capsys):
-    code, out, _ = run_cli(capsys, "distance", "--k", "3", "--n", "8")
-    header, row = out.strip().splitlines()
-    fields = dict(zip(header.split("\t"), row.split("\t")))
-    assert code == 0
-    assert fields["distance"] == "0" and fields["size"] == "29"
+    path.write_text(family_text, encoding="utf-8")
+    want = (0, f"n\tsize\tcube\tblocks\n{tsv_row}\n", "")
+    assert run_cli(capsys, "cube", str(path)) == want
+    monkeypatch.setattr("sys.stdin", io.StringIO(family_text))
+    assert run_cli(capsys, "cube") == want
+    code, out, _ = run_cli(capsys, "cube", str(path), "--format", "json")
+    size, cube = map(int, tsv_row.split("\t")[1:3])
+    assert code == 0 and json.loads(out) == {
+        "schema": 1, "command": "cube",
+        "rows": [{"n": n, "size": size, "cube": cube, "blocks": blocks}],
+    }
 
 
-def test_distance_minimize(capsys):
-    code, out, _ = run_cli(capsys, "distance", "--k", "4", "--n", "6", "--minimize")
-    header, row = out.strip().splitlines()
-    fields = dict(zip(header.split("\t"), row.split("\t")))
-    assert code == 0
-    assert int(fields["min_distance"]) <= int(fields["distance"])
-    assert "|" in fields["min_blocks"]
+def test_cube_malformed_family_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("bogus\n"))
+    code, out, err = run_cli(capsys, "cube")
+    assert (code, out) == (1, "") and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["greedy", "distance"])
+@pytest.mark.parametrize("command", ["greedy"])
 def test_input_family_size_mismatch_exit_1(command, capsys, tmp_path):
     seed_path = tmp_path / "seed.txt"
     seed_path.write_text("n=7\n{}\n", encoding="utf-8")
@@ -518,6 +514,7 @@ _LAYERS = ("kwise.construction", "kwise.familyio", "kwise.search", "kwise.setcor
 # ast, dis and tokenize behind it), the construct and table calls included
 _NOT_ON_VERIFY = ("kwise.search", "kwise.construction", "dataclasses")
 _NOT_ON_GREEDY = ("kwise.construction", "dataclasses")
+_NOT_ON_CUBE = ("kwise.construction", "kwise.verifier", "dataclasses")
 
 # (id, argv, stdin edit of the (3, 8) construction or None, exit code,
 # modules the call must not load)
@@ -534,7 +531,7 @@ NO_NUMPY_CASES = [
      _NOT_ON_GREEDY),
     ("greedy-popcount", ["greedy", "--k", "4", "--n", "10", "--order", "popcount"], None, 0,
      _NOT_ON_GREEDY),
-    ("distance", ["distance", "--k", "4", "--n", "6", "--minimize"], None, 0, ("dataclasses",)),
+    ("cube", ["cube"], lambda ls: ls, 0, _NOT_ON_CUBE),
     ("table", ["table", "--k", "2..4", "--n", "3..6"], None, 0, ("dataclasses",)),
     ("table-bench", ["table", "--k", "2..6", "--n", "1..5"], None, 0, ("dataclasses",)),
     ("library", ["library"], None, 0, ("kwise.cli", "dataclasses")),

@@ -10,17 +10,16 @@ from kwise import (
     Family,
     Universe,
     build_family,
-    cube_distance,
+    cube_blocks,
     enumerate_downsets,
     greedy_saturate,
     is_downset,
     is_maximal_kwise,
-    make_partition,
-    minimize_cube_distance,
     oracle_min_size,
     size_table,
     submasks,
 )
+from kwise import search
 from kwise.search import (
     OracleResult,
     _downset_walk,
@@ -41,6 +40,7 @@ from oracles import (
     brute_first_unsaturated,
     brute_kwise_ok,
     completable,
+    cube_family,
     lex_antichain_downsets,
     scan_greedy,
 )
@@ -333,6 +333,17 @@ def test_oracle_validation():
     assert _oracle_results((), Universe(3)) == {}
 
 
+def test_oracle_with_no_arity_walks_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the walk ran for no arity")
+
+    monkeypatch.setattr(search, "_downset_walk", refuse)
+    assert _oracle_results((), Universe(5)) == {}
+    # the n bound still holds with nothing asked
+    with pytest.raises(ValueError, match="^exhaustive oracle needs n <= 5, got n=6$"):
+        _oracle_results((), Universe(6))
+
+
 # --- greedy saturation -------------------------------------------------------
 
 
@@ -601,68 +612,91 @@ def test_greedy_peak_memory_stays_near_its_result():
     assert peak - base <= 1.5 * (retained - base)
 
 
-# --- cube distance -----------------------------------------------------------
+# --- cube families -----------------------------------------------------------
 
 
-def test_cube_distance_single_cube():
-    bp = make_partition(ConstructionParams(3, 6))
-    cube = Family(bp.universe, submasks(bp.blocks[0]))
-    rep = cube_distance(cube, bp)
-    assert rep.distance == 0
-    assert rep.q_size == 8 + 8 - 1
+def block_systems(n):
+    """Every set of pairwise disjoint blocks of at least 3 elements over
+    [n], each as a tuple ordered by least element: the least element not
+    yet placed either stays outside every block or opens a block."""
+
+    def extend(free):
+        if not free:
+            yield ()
+            return
+        low, rest = free[0], free[1:]
+        yield from extend(rest)
+        for r in range(2, len(rest) + 1):
+            for chosen in combinations(rest, r):
+                block = sum((low, *chosen))
+                for tail in extend(tuple(e for e in rest if e not in chosen)):
+                    yield (block, *tail)
+
+    return list(extend(tuple(1 << i for i in range(n))))
 
 
-def test_cube_distance_construction_k3_is_zero():
-    for n in range(4, 13):
-        built = build_family(ConstructionParams(3, n))
-        assert cube_distance(built.f, built.partition).distance == 0
+@cache
+def cube_lookup(n):
+    """Each cube family over [n], mapped to its blocks."""
+    return {cube_family(n, blocks): blocks for blocks in block_systems(n)}
 
 
-@pytest.mark.parametrize("k,n", [(4, 6), (4, 9), (4, 12), (5, 8), (5, 12)])
-def test_cube_distance_construction_k45(k, n):
-    built = build_family(ConstructionParams(k, n))
-    rep = cube_distance(built.f, built.partition)
-    m = n // (k - 1)
-    base = (k - 1) * ((1 << m) - 4) * ((1 << (k - 3)) - 1)
-    specials = built.partition.specials_mask
-    spanning = sum(
-        1
-        for x in built.f.members
-        if x | specials == specials
-        and sum(1 for b in built.partition.blocks if x & b) >= 2
-    )
-    assert rep.distance == base + spanning
-    assert rep.distance >= base
+@pytest.mark.parametrize("n,cubes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 17)])
+def test_cube_blocks_matches_brute_force_on_every_downset(n, cubes):
+    lookup = cube_lookup(n)
+    assert len(lookup) == cubes
+    found = 0
+    for g in enumerate_downsets(Universe(n)):
+        assert cube_blocks(g) == lookup.get(g), g.members
+        found += g in lookup
+    assert found == cubes
 
 
-def test_cube_distance_partition_sum_invariant():
-    rng = random.Random(8)
-    bp = make_partition(ConstructionParams(4, 9))
-    for _ in range(20):
-        f = random_family(rng, 9, 30)
-        rep = cube_distance(f, bp)
-        inside = sum(
-            1 for m in f.members if any(m | b == b for b in bp.blocks)
-        )
-        assert rep.distance + inside == len(f)
-        assert rep.distance <= len(f)
+@pytest.mark.parametrize("n,systems", [(6, 53), (7, 205), (8, 871)])
+def test_cube_blocks_recognises_every_block_system(n, systems):
+    # Q covers [n] with two members per block and one per element outside,
+    # so it is maximal exactly at k = c(full) - 1 = n - sum(|B| - 2) - 1,
+    # which is 1, no arity, when one block is all of [n]
+    assert len(block_systems(n)) == systems
+    for blocks in block_systems(n):
+        g = cube_family(n, blocks)
+        assert cube_blocks(g) == blocks
+        k = n - sum(b.bit_count() - 2 for b in blocks) - 1
+        for arity in (k - 1, k, k + 1):
+            if arity >= 2:
+                assert is_maximal_kwise(g, arity, "complement").ok == (arity == k), blocks
 
 
-def test_cube_distance_universe_mismatch():
-    bp = make_partition(ConstructionParams(3, 6))
-    with pytest.raises(ValueError):
-        cube_distance(Family(Universe(5), [1]), bp)
+def test_cube_blocks_rejects_every_family_but_q():
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        lookup = cube_lookup(n)
+        q = rng.choice(list(lookup))
+        members = set(q.members)
+        roll = rng.random()
+        if roll < 0.3:
+            members.discard(rng.choice(q.members))
+        elif roll < 0.6:
+            members.add(rng.randrange(1 << n))
+        elif roll < 0.8:
+            members ^= {rng.randrange(1 << n) for _ in range(rng.randint(1, 3))}
+        else:
+            members = set(random_family(rng, n, 3 * n).members)
+        g = Family(Universe(n), members)
+        assert cube_blocks(g) == lookup.get(g), (n, sorted(members))
 
 
-def test_minimize_cube_distance():
-    built = build_family(ConstructionParams(3, 6))
-    best = minimize_cube_distance(built.f, 2)
-    assert best.distance == 0
-    asym = Family(built.f.universe, submasks(0b111000))
-    best2 = minimize_cube_distance(asym, 2)
-    assert best2.distance == 0  # some balanced partition has 4,5,6 in one block
-    with pytest.raises(ValueError):
-        minimize_cube_distance(Family(Universe(9), [1]), 2)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_first_oracle_achiever_is_a_cube_family(n):
+    for k in range(2, n):
+        g = complement_family(oracle_min_size(k, Universe(n)).sample_extremal)
+        blocks = cube_blocks(g)
+        assert blocks is not None, (k, n)
+        assert k == n - sum(b.bit_count() - 2 for b in blocks) - 1
+    if n > 3:
+        g = complement_family(oracle_min_size(3, Universe(n)).sample_extremal)
+        assert cube_blocks(g) == {4: (), 5: (0b11100,)}[n]
 
 
 # --- size table --------------------------------------------------------------
