@@ -22,9 +22,8 @@ _EXPORTS = {
             "BlockPartition",
             "BuiltFamily",
             "ConstructionParams",
-            "build_f1",
-            "build_f2",
             "build_family",
+            "construction_tops",
             "expected_size",
             "make_partition",
         ),

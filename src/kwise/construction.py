@@ -1,11 +1,11 @@
 """The block construction of small maximal k-wise intersecting families.
 
-The ground set splits into k - 1 near-equal contiguous blocks, each with a
-designated special element (its minimum). The working family F lives in the
-complement picture and collects, per block, every proper subset of the
-block, plus block subsets (two exclusions) extended by specials of other
-blocks except the cyclic predecessor's. The complement family of F is then
-k-wise intersecting and saturated.
+The ground set splits into k - 1 near-equal contiguous blocks B_i, each
+with a designated special element a_i (its minimum). The working family F
+lives in the complement picture: it is the down-set of construction_tops,
+its n maximal members (the proof is there), and its complement family is
+k-wise intersecting and saturated. At k = 3 the tops are the sets B_i - b,
+so F is the cube family of its blocks of 3 or more elements.
 
 ConstructionParams and BlockPartition are NamedTuples that check their
 fields in __new__; they and BuiltFamily compare as frozen dataclasses do
@@ -14,6 +14,7 @@ fields in __new__; they and BuiltFamily compare as frozen dataclasses do
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .setcore import Family, SetMask, Universe, _record, complement_family, submasks
@@ -113,32 +114,32 @@ def make_partition(p: ConstructionParams) -> BlockPartition:
     return BlockPartition(u, tuple(blocks), tuple(specials))
 
 
-def _check_block_index(bp: BlockPartition, i: int) -> None:
-    if not 1 <= i <= bp.num_blocks:
-        raise IndexError(f"block index {i} outside 1..{bp.num_blocks}")
+def construction_tops(p: ConstructionParams) -> Family:
+    """The n maximal members of the construction family F (complement world).
 
-
-def build_f1(bp: BlockPartition, i: int) -> Family:
-    """Every proper subset of block i, the empty set included."""
-    _check_block_index(bp, i)
-    block = bp.blocks[i - 1]
-    return Family(bp.universe, (s for s in submasks(block) if s != block))
-
-
-def build_f2(bp: BlockPartition, i: int) -> Family:
-    """Subsets of block i (minus the block itself and the block without its
-    special) extended by any specials except block i's own and its cyclic
-    predecessor's."""
-    _check_block_index(bp, i)
-    block = bp.blocks[i - 1]
-    own = 1 << (bp.specials[i - 1] - 1)
-    prev = 1 << (bp.specials[i - 2] - 1)
-    extension = bp.specials_mask & ~(own | prev)
-    skip = (block, block & ~own)
-    return Family(
-        bp.universe,
-        (x | y for x in submasks(block) if x not in skip for y in submasks(extension)),
-    )
+    Block B_i has special a_i; S is the set of specials and E_i = S - {a_i,
+    a_(i-1)}, i - 1 cyclic. F is the union of F1(i), the proper subsets of
+    B_i, and F2(i), the sets X | Y with X a subset of B_i other than B_i and
+    B_i - a_i, and Y a subset of E_i. Block i gives the top B_i - a_i and,
+    for each b in B_i - a_i, the top (B_i - b) | E_i:
+    - each top is in F: B_i - a_i is in F1(i), and (B_i - b) | E_i is in
+      F2(i), since B_i - b is neither B_i nor B_i - a_i;
+    - each member of F1(i) or F2(i) lies under a top of block i, as its
+      part in B_i misses a_i or some b != a_i (an X of F2(i) misses one);
+    - each subset of (B_i - b) | E_i is in F1(i) or F2(i), as b != a_i.
+    So F is their down-closure. They are pairwise incomparable, so they are
+    F's maximal members: block i's tops meet B_i in distinct sets of size
+    |B_i| - 1, and each holds a non-special of B_i, which no other block's
+    top holds, or is S - {a_(i-1)}, while block j's tops all lack a_(j-1).
+    """
+    bp = make_partition(p)
+    tops: list[SetMask] = []
+    for block, own, prev in zip(bp.blocks, bp.specials, bp.specials[-1:] + bp.specials):
+        rest = block & ~(1 << (own - 1))
+        extension = bp.specials_mask & ~(1 << (own - 1) | 1 << (prev - 1))
+        tops.append(rest)
+        tops.extend((block & ~(1 << i)) | extension for i in range(p.n) if rest >> i & 1)
+    return Family(bp.universe, tops)
 
 
 @_record
@@ -149,13 +150,9 @@ class BuiltFamily(NamedTuple):
 
 
 def build_family(p: ConstructionParams) -> BuiltFamily:
-    """Deduplicated union of every per-block piece, plus its complement."""
+    """The down-closure of construction_tops, plus its complement."""
     bp = make_partition(p)
-    masks: set[SetMask] = set()
-    for i in range(1, bp.num_blocks + 1):
-        masks.update(build_f1(bp, i).members)
-        masks.update(build_f2(bp, i).members)
-    f = Family(bp.universe, masks)
+    f = Family(bp.universe, chain.from_iterable(map(submasks, construction_tops(p).members)))
     return BuiltFamily(f, complement_family(f), bp)
 
 

@@ -114,14 +114,15 @@ def elements_of(m: SetMask) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(m.bit_length()) if m >> i & 1)
 
 
-def submasks(m: SetMask) -> Iterator[SetMask]:
-    """Every subset of m, including 0 and m itself."""
-    s = m
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & m
+def submasks(m: SetMask) -> list[SetMask]:
+    """Every subset of m in ascending order, 0 and m included: each bit of
+    m, lowest first, doubles the list with copies that hold it."""
+    subs = [0]
+    while m:
+        bit = m & -m
+        subs += [s | bit for s in subs]
+        m ^= bit
+    return subs
 
 
 class Family:

@@ -2,8 +2,9 @@
 cover levels and search machinery, the numpy lattice folds that the
 modular-count tests use, and scan_greedy, the one-candidate-at-a-time
 greedy that the level-word greedy replaced. Also the fixtures mask_of,
-make_star and cube_family, and closure, the down-closure read off cover
-level 1."""
+make_star and cube_family, closure, the down-closure read off cover
+level 1, and definition_family, the block construction read off the
+definition of its pieces."""
 
 import random
 from itertools import combinations, combinations_with_replacement
@@ -30,6 +31,33 @@ def mask_of(elements, u):
             raise ValueError(f"element {e} outside universe 1..{u.n}")
         m |= 1 << (e - 1)
     return m
+
+
+def construction_pieces(bp, m):
+    """The pieces of the block construction that hold mask m, read off the
+    definition: ("F1", i) when m is a proper subset of block i, and ("F2",
+    i) when m is X | Y with X a subset of block i other than the block and
+    the block less its special, and Y a subset of the specials of every
+    block but i and its cyclic predecessor (blocks 1-based)."""
+    pieces = []
+    for i in range(1, bp.num_blocks + 1):
+        block = bp.blocks[i - 1]
+        own = 1 << (bp.specials[i - 1] - 1)
+        prev = 1 << (bp.specials[i - 2] - 1)
+        extension = bp.specials_mask & ~(own | prev)
+        if m | block == block and m != block:
+            pieces.append(("F1", i))
+        x = m & block
+        if not m & ~(block | extension) and x not in (block, block & ~own):
+            pieces.append(("F2", i))
+    return pieces
+
+
+def definition_family(bp):
+    """The construction family F, the union of every F1(i) and F2(i), by
+    testing each of the 2^n masks against the definition."""
+    u = bp.universe
+    return Family(u, (m for m in range(u.num_masks) if construction_pieces(bp, m)))
 
 
 def make_star(u):

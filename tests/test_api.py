@@ -33,9 +33,10 @@ def test_exports_are_the_recorded_list():
     assert kwise.__all__ == [
         "BlockPartition", "BuiltFamily", "ConstructionParams", "CoverSearcher",
         "CoverTable", "CoverWitness", "Family", "GapWitness", "OracleResult", "SetMask",
-        "Universe", "Verdict", "build_cover_table", "build_f1", "build_f2", "build_family",
-        "check_kwise", "check_saturated", "complement_family", "cover_table_from_indicator",
-        "cube_blocks", "elements_of", "enumerate_downsets", "expected_size",
+        "Universe", "Verdict", "build_cover_table", "build_family", "check_kwise",
+        "check_saturated", "complement_family", "construction_tops",
+        "cover_table_from_indicator", "cube_blocks", "elements_of", "enumerate_downsets",
+        "expected_size",
         "format_set_line", "greedy_saturate", "is_downset", "is_maximal_kwise",
         "make_partition", "maximal_elements", "oracle_min_size", "parse_set_line",
         "read_family", "size_table", "submasks", "verify_witness", "write_family",

@@ -24,6 +24,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "verify_cli.json").read_text())
 GREEDY_GOLDEN = json.loads((GOLDEN_DIR / "greedy_cli.json").read_text())
 ORACLE_GOLDEN = json.loads((GOLDEN_DIR / "oracle_cli.json").read_text())
+CONSTRUCT_GOLDEN = json.loads((GOLDEN_DIR / "construct_cli.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,20 @@ def test_construct_stdout_and_roundtrip(capsys, tmp_path):
     code2 = main(["construct", "--k", "3", "--n", "8", "--out", str(out_file)])
     assert code2 == 0
     assert read_family(out_file.read_text()) == fam
+
+
+@pytest.mark.parametrize(
+    "case", CONSTRUCT_GOLDEN, ids=lambda c: "-".join(a.lstrip("-") for a in c["argv"][1:])
+)
+def test_construct_golden_output(case, capsys):
+    # recorded from the builder that unioned per-block pieces; the small
+    # cells keep their whole stdout, the large ones its sha256 and line count
+    code, out, _ = run_cli(capsys, *case["argv"])
+    if "stdout" in case:
+        assert (code, out) == (case["code"], case["stdout"])
+    else:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, out.count("\n")) == (case["code"], case["sha256"], case["lines"])
 
 
 def test_construct_byte_stable(capsys):

@@ -5,17 +5,18 @@ import pytest
 from kwise import (
     BlockPartition,
     ConstructionParams,
+    Family,
     Universe,
-    build_f1,
-    build_f2,
     build_family,
     complement_family,
+    construction_tops,
     expected_size,
     is_downset,
     make_partition,
+    maximal_elements,
     submasks,
 )
-from oracles import mask_of
+from oracles import construction_pieces, definition_family, mask_of
 
 
 def test_params_validation():
@@ -126,66 +127,36 @@ def test_block_partition_validation():
         BlockPartition(u, (0b0011, 0b1100), (1, 1))  # special outside block
 
 
-def test_f1_small_block():
-    bp = make_partition(ConstructionParams(4, 8))  # sizes (3, 3, 2)
-    f1 = build_f1(bp, 3)
-    assert len(f1) == 3  # empty set and the two singletons
-    assert bp.blocks[2] not in f1
+def test_tops_k4_n6():
+    # blocks {1,2} {3,4} {5,6}, specials 1 3 5: each block gives B - a and
+    # (B - b) | E with E the one special of neither it nor its predecessor
+    u = Universe(6)
+    tops = construction_tops(ConstructionParams(4, 6))
+    want = [(2,), (4,), (6,), (1, 3), (3, 5), (1, 5)]
+    assert tops == Family(u, (mask_of(t, u) for t in want))
 
 
-def test_f1_k3_n6():
-    bp = make_partition(ConstructionParams(3, 6))
-    f1 = build_f1(bp, 1)
-    assert len(f1) == 7
-    assert bp.blocks[0] not in f1
+def test_family_matches_definition_predicate():
+    cells = 0
+    for k in range(3, 8):
+        for n in range(2 * (k - 1), 13):
+            p = ConstructionParams(k, n)
+            built = build_family(p)
+            assert built.f == definition_family(built.partition), (k, n)
+            cells += 1
+    assert cells == 25
 
 
-def test_f1_matches_definition_predicate():
-    bp = make_partition(ConstructionParams(5, 12))
-    for i in range(1, 5):
-        block = bp.blocks[i - 1]
-        got = set(build_f1(bp, i).members)
-        want = {m for m in range(1 << 12) if m | block == block and m != block}
-        assert got == want
-
-
-def test_f2_subset_of_f1_when_k3():
-    bp = make_partition(ConstructionParams(3, 8))
-    for i in (1, 2):
-        assert set(build_f2(bp, i).members) <= set(build_f1(bp, i).members)
-
-
-def test_f2_k4_n6_block1():
-    bp = make_partition(ConstructionParams(4, 6))
-    f2 = build_f2(bp, 1)
-    assert len(f2) == 4  # two X choices times two extension choices
-
-
-def test_f2_matches_definition_predicate():
-    bp = make_partition(ConstructionParams(4, 9))
-    for i in range(1, 4):
-        block = bp.blocks[i - 1]
-        own = 1 << (bp.specials[i - 1] - 1)
-        prev = 1 << (bp.specials[i - 2] - 1)
-        ext = bp.specials_mask & ~(own | prev)
-        got = set(build_f2(bp, i).members)
-        want = set()
-        for m in range(1 << 9):
-            if m & ~(block | ext):
-                continue
-            x = m & block
-            if x == block or x == block & ~own:
-                continue
-            want.add(m)
-        assert got == want
-
-
-def test_block_index_out_of_range():
-    bp = make_partition(ConstructionParams(4, 6))
-    with pytest.raises(IndexError):
-        build_f1(bp, 0)
-    with pytest.raises(IndexError):
-        build_f2(bp, 4)
+def test_tops_are_the_maximal_members():
+    cells = 0
+    for k in range(3, 16):
+        for n in range(2 * (k - 1), 25):
+            p = ConstructionParams(k, n)
+            tops = construction_tops(p)
+            assert tops == maximal_elements(build_family(p).f), (k, n)
+            assert len(tops) == n, (k, n)
+            cells += 1
+    assert cells == 121
 
 
 def test_family_sizes_match_direct_counts():
@@ -229,9 +200,9 @@ def test_three_part_count_decomposition(k, n):
     specials = bp.specials_mask
     m = n // (k - 1)
 
-    in_f2 = set()
-    for i in range(1, k):
-        in_f2.update(build_f2(bp, i).members)
+    in_f2 = {
+        x for x in built.f.members if any(piece == "F2" for piece, _ in construction_pieces(bp, x))
+    }
     tops_removed = {
         block & ~(1 << (a - 1)) for block, a in zip(bp.blocks, bp.specials)
     }

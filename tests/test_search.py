@@ -699,6 +699,28 @@ def test_first_oracle_achiever_is_a_cube_family(n):
         assert cube_blocks(g) == {4: (), 5: (0b11100,)}[n]
 
 
+# (n, k) -> (achievers, achievers that are cube families); at 3 <= k <= n - 1
+# every achiever is one, at k = n none is (Q is maximal at c(full) - 1 < n)
+ACHIEVERS = {
+    (3, 2): (4, 1), (3, 3): (3, 0),
+    (4, 2): (12, 4), (4, 3): (1, 1), (4, 4): (4, 0),
+    (5, 2): (81, 5), (5, 3): (10, 10), (5, 4): (1, 1), (5, 5): (5, 0),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_achiever_counted_by_cube_shape(n):
+    u = Universe(n)
+    ranges = [(g, *maximal_arity_range(g)) for g in enumerate_downsets(u)]
+    results = _oracle_results(range(2, n + 1), u)
+    for k in range(2, n + 1):
+        f = results[k].f_k_n
+        achievers = [g for g, lo, hi in ranges if lo <= k < hi and len(g) == f]
+        cubes = sum(cube_blocks(g) is not None for g in achievers)
+        assert (len(achievers), cubes) == ACHIEVERS[n, k], k
+        assert len(achievers) == results[k].extremal_count, k
+
+
 # --- size table --------------------------------------------------------------
 
 
