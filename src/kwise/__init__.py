@@ -19,7 +19,6 @@ _EXPORTS = {
     name: module
     for module, names in {
         "construction": (
-            "BlockPartition",
             "BuiltFamily",
             "ConstructionParams",
             "build_family",

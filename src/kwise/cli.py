@@ -197,8 +197,8 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
         "schema": SCHEMA,
         "k": p.k,
         "n": p.n,
-        "block_sizes": list(built.partition.block_sizes()),
-        "specials": list(built.partition.specials),
+        "block_sizes": [b.bit_count() for b in built.blocks],
+        "specials": [(b & -b).bit_length() for b in built.blocks],
         "size": len(built.f),
         "expected_size": expected_size(p),
     }

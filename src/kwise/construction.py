@@ -1,15 +1,16 @@
 """The block construction of small maximal k-wise intersecting families.
 
-The ground set splits into k - 1 near-equal contiguous blocks B_i, each
-with a designated special element a_i (its minimum). The working family F
+The ground set splits into k - 1 near-equal contiguous blocks B_i, held as
+a tuple of block masks (the shape search.cube_blocks returns), each with a
+designated special element a_i, its least element. The working family F
 lives in the complement picture: it is the down-set of construction_tops,
 its n maximal members (the proof is there), and its complement family is
 k-wise intersecting and saturated. At k = 3 the tops are the sets B_i - b,
 so F is the cube family of its blocks of 3 or more elements.
 
-ConstructionParams and BlockPartition are NamedTuples that check their
-fields in __new__; they and BuiltFamily compare as frozen dataclasses do
-(setcore._record), so the module loads no dataclasses.
+ConstructionParams is a NamedTuple that checks its fields in __new__; it
+and BuiltFamily compare as frozen dataclasses do (setcore._record), so the
+module loads no dataclasses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .setcore import Family, SetMask, Universe, _record, complement_family, submasks
+from .setcore import Family, SetMask, Universe, _record, submasks
 
 
 class _Params(NamedTuple):
@@ -43,75 +44,18 @@ class ConstructionParams(_Params):
         return self.k - 1
 
 
-class _Partition(NamedTuple):
-    universe: Universe
-    blocks: tuple[SetMask, ...]
-    specials: tuple[int, ...]
-
-
-@_record
-class BlockPartition(_Partition):
-    """Disjoint blocks covering the universe (sizes within 1 of each other),
-    one special element per block.
-
-    Block indices are 1-based and cyclic: the predecessor of block 1 is the
-    last block.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, universe: Universe, blocks: tuple[SetMask, ...], specials: tuple[int, ...]
-    ) -> BlockPartition:
-        if not blocks or len(blocks) != len(specials):
-            raise ValueError("exactly one special element per block required")
-        union = 0
-        for b in blocks:
-            universe.check_mask(b)
-            if b == 0:
-                raise ValueError("blocks must be nonempty")
-            if union & b:
-                raise ValueError("blocks must be pairwise disjoint")
-            union |= b
-        if union != universe.full:
-            raise ValueError("blocks must cover the whole universe")
-        sizes = [b.bit_count() for b in blocks]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError("block sizes may differ by at most 1")
-        for b, a in zip(blocks, specials):
-            if not 1 <= a <= universe.n or not b >> (a - 1) & 1:
-                raise ValueError(f"special element {a} outside its block")
-        return super().__new__(cls, universe, blocks, specials)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def specials_mask(self) -> SetMask:
-        m = 0
-        for a in self.specials:
-            m |= 1 << (a - 1)
-        return m
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.blocks)
-
-
-def make_partition(p: ConstructionParams) -> BlockPartition:
-    """Contiguous near-equal blocks, larger blocks first; each special is
-    the smallest element of its block."""
-    u = Universe(p.n)
+def make_partition(p: ConstructionParams) -> tuple[SetMask, ...]:
+    """The k - 1 contiguous near-equal blocks, larger blocks first, so
+    ascending by least element; each block's special is its least element,
+    b & -b."""
     q, r = divmod(p.n, p.num_blocks)
-    sizes = [q + 1] * r + [q] * (p.num_blocks - r)
     blocks: list[SetMask] = []
-    specials: list[int] = []
-    start = 1
-    for s in sizes:
-        blocks.append(((1 << s) - 1) << (start - 1))
-        specials.append(start)
+    start = 0
+    for i in range(p.num_blocks):
+        s = q + (i < r)
+        blocks.append(((1 << s) - 1) << start)
         start += s
-    return BlockPartition(u, tuple(blocks), tuple(specials))
+    return tuple(blocks)
 
 
 def construction_tops(p: ConstructionParams) -> Family:
@@ -132,28 +76,28 @@ def construction_tops(p: ConstructionParams) -> Family:
     |B_i| - 1, and each holds a non-special of B_i, which no other block's
     top holds, or is S - {a_(i-1)}, while block j's tops all lack a_(j-1).
     """
-    bp = make_partition(p)
+    blocks = make_partition(p)
+    specials = [b & -b for b in blocks]
+    all_specials = sum(specials)
     tops: list[SetMask] = []
-    for block, own, prev in zip(bp.blocks, bp.specials, bp.specials[-1:] + bp.specials):
-        rest = block & ~(1 << (own - 1))
-        extension = bp.specials_mask & ~(1 << (own - 1) | 1 << (prev - 1))
+    for block, own, prev in zip(blocks, specials, specials[-1:] + specials):
+        rest = block & ~own
+        extension = all_specials & ~(own | prev)
         tops.append(rest)
         tops.extend((block & ~(1 << i)) | extension for i in range(p.n) if rest >> i & 1)
-    return Family(bp.universe, tops)
+    return Family(Universe(p.n), tops)
 
 
 @_record
 class BuiltFamily(NamedTuple):
     f: Family  # complement world
-    fbar: Family  # direct world: the maximal k-wise intersecting family
-    partition: BlockPartition
+    blocks: tuple[SetMask, ...]  # make_partition's block masks
 
 
 def build_family(p: ConstructionParams) -> BuiltFamily:
-    """The down-closure of construction_tops, plus its complement."""
-    bp = make_partition(p)
-    f = Family(bp.universe, chain.from_iterable(map(submasks, construction_tops(p).members)))
-    return BuiltFamily(f, complement_family(f), bp)
+    """The down-closure of construction_tops, with its blocks."""
+    f = Family(Universe(p.n), chain.from_iterable(map(submasks, construction_tops(p).members)))
+    return BuiltFamily(f, make_partition(p))
 
 
 def expected_size(p: ConstructionParams) -> int | None:

@@ -138,6 +138,7 @@ def verify_witness(v: Verdict, g: Family, k: int) -> bool:
     """Recheck a verdict's witness without the searcher that found it: a
     cover by direct mask arithmetic, a gap x by reading c(full ^ x) > k - 1
     from the cover levels, which need n <= TABLE_MAX_N."""
+    _require_k(k)
     w = v.witness
     if w is None:
         raise ValueError("verdict carries no witness")

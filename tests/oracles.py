@@ -33,18 +33,20 @@ def mask_of(elements, u):
     return m
 
 
-def construction_pieces(bp, m):
+def construction_pieces(blocks, m):
     """The pieces of the block construction that hold mask m, read off the
     definition: ("F1", i) when m is a proper subset of block i, and ("F2",
     i) when m is X | Y with X a subset of block i other than the block and
     the block less its special, and Y a subset of the specials of every
-    block but i and its cyclic predecessor (blocks 1-based)."""
+    block but i and its cyclic predecessor (blocks 1-based). Each block's
+    special is its least element."""
+    specials = [b & -b for b in blocks]
     pieces = []
-    for i in range(1, bp.num_blocks + 1):
-        block = bp.blocks[i - 1]
-        own = 1 << (bp.specials[i - 1] - 1)
-        prev = 1 << (bp.specials[i - 2] - 1)
-        extension = bp.specials_mask & ~(own | prev)
+    for i in range(1, len(blocks) + 1):
+        block = blocks[i - 1]
+        own = specials[i - 1]
+        prev = specials[i - 2]
+        extension = sum(specials) & ~(own | prev)
         if m | block == block and m != block:
             pieces.append(("F1", i))
         x = m & block
@@ -53,11 +55,10 @@ def construction_pieces(bp, m):
     return pieces
 
 
-def definition_family(bp):
-    """The construction family F, the union of every F1(i) and F2(i), by
-    testing each of the 2^n masks against the definition."""
-    u = bp.universe
-    return Family(u, (m for m in range(u.num_masks) if construction_pieces(bp, m)))
+def definition_family(blocks, n):
+    """The construction family F over [n], the union of every F1(i) and
+    F2(i), by testing each of the 2^n masks against the definition."""
+    return Family(Universe(n), (m for m in range(1 << n) if construction_pieces(blocks, m)))
 
 
 def make_star(u):

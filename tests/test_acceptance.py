@@ -198,25 +198,24 @@ def test_criterion_cover_dp_matches_naive():
 
 def test_criterion_construction_cube_families():
     """At k=3 the construction is the cube family of its blocks of size at
-    least 3; at n = 2(k-1), where every block has 2 elements, it is the cube
-    family of the k-1 specials; at k in 4..5 and every larger n up to 20 it
-    is no cube family."""
+    least 3: of none at n = 4 and of {1,2,3} at n = 5 (test_construction
+    checks n = 6..30, where that is every block); at n = 2(k-1), where
+    every block has 2 elements, it is the cube family of the k-1 specials;
+    at k in 4..5 and every larger n up to 20 it is no cube family."""
     wrong = []
-    for n in range(4, 21):
-        built = build_family(ConstructionParams(3, n))
-        want = tuple(b for b in built.partition.blocks if b.bit_count() >= 3)
-        if cube_blocks(built.f) != want:
+    for n, want in ((4, ()), (5, (0b111,))):
+        if cube_blocks(build_family(ConstructionParams(3, n)).f) != want:
             wrong.append((3, n))
     for k in range(4, 9):
         built = build_family(ConstructionParams(k, 2 * (k - 1)))
-        if cube_blocks(built.f) != (built.partition.specials_mask,):
+        if cube_blocks(built.f) != (sum(b & -b for b in built.blocks),):
             wrong.append((k, 2 * (k - 1)))
     for k in (4, 5):
         for n in range(2 * (k - 1) + 1, 21):
             if cube_blocks(build_family(ConstructionParams(k, n)).f) is not None:
                 wrong.append((k, n))
     _report(
-        "cube families: the k=3 construction, and the specials' cube at n=2(k-1) "
+        "cube families: the k=3 construction at n in 4..5, and the specials' cube at n=2(k-1) "
         "for k in 4..8; none at k in 4..5 above 2(k-1) up to n=20",
         not wrong,
         f"wrong cells={wrong}" if wrong else "",

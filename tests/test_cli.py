@@ -137,8 +137,10 @@ def test_construct_stdout_and_roundtrip(capsys, tmp_path):
     "case", CONSTRUCT_GOLDEN, ids=lambda c: "-".join(a.lstrip("-") for a in c["argv"][1:])
 )
 def test_construct_golden_output(case, capsys):
-    # recorded from the builder that unioned per-block pieces; the small
-    # cells keep their whole stdout, the large ones its sha256 and line count
+    # recorded from the builder that unioned per-block pieces, and the
+    # uneven (4, 7) and (5, 10) cells before the partition became plain
+    # block masks; the small cells keep their whole stdout, the large ones
+    # its sha256 and line count
     code, out, _ = run_cli(capsys, *case["argv"])
     if "stdout" in case:
         assert (code, out) == (case["code"], case["stdout"])

@@ -3,13 +3,13 @@ import pickle
 import pytest
 
 from kwise import (
-    BlockPartition,
     ConstructionParams,
     Family,
     Universe,
     build_family,
     complement_family,
     construction_tops,
+    cube_blocks,
     expected_size,
     is_downset,
     make_partition,
@@ -62,69 +62,40 @@ def test_params_contract():
         p._replace(k=2)
 
 
-def test_partition_contract():
-    u = Universe(7)
-    bp = BlockPartition(u, (0b0000111, 0b0011000, 0b1100000), (1, 4, 6))
-    assert bp == make_partition(ConstructionParams(4, 7))
-    assert bp == BlockPartition(universe=u, blocks=bp.blocks, specials=bp.specials)
-    assert bp._fields == ("universe", "blocks", "specials")
-    assert repr(bp) == (
-        "BlockPartition(universe=Universe(7), blocks=(7, 24, 96), specials=(1, 4, 6))"
-    )
-    assert (bp.num_blocks, bp.specials_mask, bp.block_sizes()) == (3, 0b0101001, (3, 2, 2))
-    assert hash(bp) == hash(make_partition(ConstructionParams(4, 7)))
-    assert bp != tuple(bp)
-    assert pickle.loads(pickle.dumps(bp)) == bp
-    with pytest.raises(AttributeError):
-        bp.blocks = ()
-    with pytest.raises(AttributeError):
-        bp.extra = 1
-    with pytest.raises(ValueError, match="sizes may differ"):
-        bp._replace(blocks=(0b0000001, 0b0011110, 0b1100000))
-
-
 def test_make_partition_k3_n6():
-    bp = make_partition(ConstructionParams(3, 6))
-    u = bp.universe
-    assert bp.blocks == (mask_of((1, 2, 3), u), mask_of((4, 5, 6), u))
-    assert bp.specials == (1, 4)
+    u = Universe(6)
+    blocks = (mask_of((1, 2, 3), u), mask_of((4, 5, 6), u))
+    assert make_partition(ConstructionParams(3, 6)) == blocks
 
 
 def test_make_partition_near_equal_split():
-    bp = make_partition(ConstructionParams(4, 7))
-    assert bp.block_sizes() == (3, 2, 2)
-    assert bp.specials == (1, 4, 6)
+    # blocks of 3, 2, 2 with least elements, the specials, 1, 4, 6
+    assert make_partition(ConstructionParams(4, 7)) == (0b0000111, 0b0011000, 0b1100000)
 
 
-@pytest.mark.parametrize(
-    ("blocks", "specials", "message"),
-    [
-        ((), (), "exactly one special element per block required"),
-        ((0b0011, 0b1100), (1,), "exactly one special element per block required"),
-        ((0b0011, 0b10000), (1, 5), "does not fit a universe of size 4"),
-        ((0b1111, 0), (1, 1), "blocks must be nonempty"),
-        ((0b0011, 0b0110), (1, 2), "blocks must be pairwise disjoint"),
-        ((0b0011, 0b0100), (1, 3), "blocks must cover the whole universe"),
-        ((0b0111, 0b1000), (1, 4), "block sizes may differ by at most 1"),
-        ((0b0011, 0b1100), (1, 1), "special element 1 outside its block"),
-        ((0b0011, 0b1100), (1, 5), "special element 5 outside its block"),
-    ],
-)
-def test_block_partition_validation_messages(blocks, specials, message):
-    with pytest.raises(ValueError, match=message):
-        BlockPartition(Universe(4), blocks, specials)
-
-
-def test_block_partition_validation():
-    u = Universe(4)
-    with pytest.raises(ValueError):
-        BlockPartition(u, (0b0011, 0b0110), (1, 2))  # overlap
-    with pytest.raises(ValueError):
-        BlockPartition(u, (0b0011, 0b0100), (1, 3))  # does not cover
-    with pytest.raises(ValueError):
-        BlockPartition(u, (0b0111, 0b1000), (1, 4))  # sizes differ by 2
-    with pytest.raises(ValueError):
-        BlockPartition(u, (0b0011, 0b1100), (1, 1))  # special outside block
+def test_partition_invariants():
+    """k - 1 nonempty, pairwise disjoint blocks covering the universe, of
+    sizes within 1 of each other, larger first and ascending by least
+    element; at k = 3 they are the blocks that cube_blocks reads off F."""
+    cells = 0
+    for k in range(3, 16):
+        for n in range(2 * (k - 1), 31):
+            p = ConstructionParams(k, n)
+            blocks = make_partition(p)
+            assert len(blocks) == k - 1, (k, n)
+            union = 0
+            for b in blocks:
+                assert b and not union & b, (k, n)
+                union |= b
+            assert union == (1 << n) - 1, (k, n)
+            sizes = [b.bit_count() for b in blocks]
+            assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True), (k, n)
+            assert [b & -b for b in blocks] == sorted(b & -b for b in blocks), (k, n)
+            if k == 3 and n >= 6:
+                built = build_family(p)
+                assert cube_blocks(built.f) == built.blocks, (k, n)
+            cells += 1
+    assert cells == 195
 
 
 def test_tops_k4_n6():
@@ -142,7 +113,7 @@ def test_family_matches_definition_predicate():
         for n in range(2 * (k - 1), 13):
             p = ConstructionParams(k, n)
             built = build_family(p)
-            assert built.f == definition_family(built.partition), (k, n)
+            assert built.f == definition_family(built.blocks, n), (k, n)
             cells += 1
     assert cells == 25
 
@@ -167,9 +138,8 @@ def test_family_sizes_match_direct_counts():
 
 def test_k3_family_is_two_punctured_cubes():
     built = build_family(ConstructionParams(3, 6))
-    bp = built.partition
     want = set()
-    for block in bp.blocks:
+    for block in built.blocks:
         want.update(s for s in submasks(block) if s != block)
     assert set(built.f.members) == want
 
@@ -186,7 +156,7 @@ def test_size_equals_block_sum_for_every_cell():
     for k in range(3, 9):
         for n in range(2 * (k - 1), 25):
             p = ConstructionParams(k, n)
-            sizes = make_partition(p).block_sizes()
+            sizes = [b.bit_count() for b in make_partition(p)]
             size = sum(1 << (b + k - 3) for b in sizes) - ((1 << (k - 1)) - 1) * (k - 2)
             assert len(build_family(p).f) == size, (k, n)
             assert expected_size(p) in (None, size), (k, n)
@@ -196,16 +166,15 @@ def test_size_equals_block_sum_for_every_cell():
 def test_three_part_count_decomposition(k, n):
     p = ConstructionParams(k, n)
     built = build_family(p)
-    bp = built.partition
-    specials = bp.specials_mask
+    specials = sum(b & -b for b in built.blocks)
     m = n // (k - 1)
 
     in_f2 = {
-        x for x in built.f.members if any(piece == "F2" for piece, _ in construction_pieces(bp, x))
+        x
+        for x in built.f.members
+        if any(piece == "F2" for piece, _ in construction_pieces(built.blocks, x))
     }
-    tops_removed = {
-        block & ~(1 << (a - 1)) for block, a in zip(bp.blocks, bp.specials)
-    }
+    tops_removed = {block & ~(block & -block) for block in built.blocks}
 
     part_specials = {x for x in built.f.members if x | specials == specials}
     part_f2 = {x for x in in_f2 if x | specials != specials}
@@ -228,7 +197,7 @@ def test_family_is_downset_without_full_set():
         assert is_downset(built.f)
         assert u.full not in built.f
         # the complement family is an up-set without the empty set
-        fbar = built.fbar
+        fbar = complement_family(built.f)
         assert 0 not in fbar
         assert complement_family(fbar) == built.f
         for m in fbar.members:

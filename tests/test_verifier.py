@@ -209,7 +209,7 @@ def test_star_is_maximal_direct_world():
 def test_construction_maximal_at_smallest_n():
     for k in (3, 4, 5):
         built = build_family(ConstructionParams(k, 2 * (k - 1)))
-        v = is_maximal_kwise(built.fbar, k, "direct")
+        v = is_maximal_kwise(complement_family(built.f), k, "direct")
         assert v.ok and v.complement_downset
 
 
@@ -443,3 +443,15 @@ def test_verify_witness_rejects_foreign_masks():
     g = Family(u, [1])
     with pytest.raises(ValueError):
         verify_witness(Verdict(False, CoverWitness((1 << 10,))), g, 2)
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+@pytest.mark.parametrize(
+    "witness", [CoverWitness((0b001, 0b010, 0b100)), GapWitness(0b011)], ids=["cover", "gap"]
+)
+def test_verify_witness_rejects_arity_below_two(k, witness):
+    # the arity check and message of check_kwise
+    g = Family(Universe(3), [0, 0b001, 0b010, 0b100])
+    v = Verdict(False, witness, "not_saturated")
+    with pytest.raises(ValueError, match=f"^arity k must be >= 2, got {k}$"):
+        verify_witness(v, g, k)
