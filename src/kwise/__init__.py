@@ -37,13 +37,10 @@ _EXPORTS = {
         ),
         "setcore": (
             "CoverSearcher",
-            "CoverTable",
             "Family",
             "SetMask",
             "Universe",
-            "build_cover_table",
             "complement_family",
-            "cover_table_from_indicator",
             "elements_of",
             "is_downset",
             "maximal_elements",

@@ -100,10 +100,19 @@ def build_family(p: ConstructionParams) -> BuiltFamily:
     return BuiltFamily(f, make_partition(p))
 
 
-def expected_size(p: ConstructionParams) -> int | None:
-    """Closed-form size of the construction family, or None when k-1 does
-    not divide n (the closed form only holds in the divisible case)."""
-    blocks = p.num_blocks
-    if p.n % blocks:
-        return None
-    return blocks * (1 << (p.n // blocks + p.k - 3)) - ((1 << (p.k - 1)) - 1) * (p.k - 2)
+def expected_size(p: ConstructionParams) -> int:
+    """|F| = sum_i 2^(|B_i| + k - 3) - (2^(k-1) - 1)(k - 2) over the blocks,
+    which is (k-1) 2^(n/(k-1) + k - 3) - (2^(k-1) - 1)(k - 2) when k - 1
+    divides n. With S, a_i and E_i (|E_i| = k - 3) as in construction_tops:
+    - every top's non-special elements lie in one block, so a member's do
+      too;
+    - block i gives 2^(|B_i| + k - 3) - 2^(k-1) + 1 members that meet
+      B_i - a_i: the sets X | Y, with X a subset of B_i that meets B_i - a_i
+      but does not hold all of it (a_i in or out) and Y a subset of E_i,
+      plus B_i - a_i itself;
+    - the subsets of S other than S itself add 2^(k-1) - 1: S - a_(i-1) lies
+      under block i's tops (B_i - b) | E_i, and no top holds S.
+    """
+    k = p.k
+    powers = sum(1 << (b.bit_count() + k - 3) for b in make_partition(p))
+    return powers - ((1 << (k - 1)) - 1) * (k - 2)

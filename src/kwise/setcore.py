@@ -16,7 +16,8 @@ The cover levels hold every mask's cover number at once: level t is the
 word of the masks that at most t members cover, grown by _grow from each
 maximal member.
 CoverTable is a byte-per-mask view of levels 0..limit that no command or
-library path builds; the benchmark's tracer patches its names.
+library path builds and the package does not export; the benchmark's
+tracer patches its names.
 _record gives the NamedTuple types of verifier, search and construction
 the equality of a frozen dataclass without loading dataclasses, and
 _require_k is the arity check of the verifier and search; _arity_range,

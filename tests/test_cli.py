@@ -140,7 +140,8 @@ def test_construct_golden_output(case, capsys):
     # recorded from the builder that unioned per-block pieces, and the
     # uneven (4, 7) and (5, 10) cells before the partition became plain
     # block masks; the small cells keep their whole stdout, the large ones
-    # its sha256 and line count
+    # its sha256 and line count. The uneven cells' expected_size was
+    # re-recorded when the block sum filled it.
     code, out, _ = run_cli(capsys, *case["argv"])
     if "stdout" in case:
         assert (code, out) == (case["code"], case["stdout"])
@@ -444,8 +445,7 @@ def test_table_formula_matches_construction(capsys):
     cols = lines[0].split("\t")
     for line in lines[1:]:
         row = dict(zip(cols, line.split("\t")))
-        if row["formula"]:
-            assert row["size"] == row["formula"], row
+        assert row["size"] == row["formula"], row
 
 
 @pytest.mark.parametrize(
@@ -455,7 +455,8 @@ def test_oracle_golden_output(case, capsys):
     # stdout recorded from the per-k oracle that sent every down-set through
     # the verifier once per k; the one-pass oracle must reproduce it, the
     # first achiever in enumeration order and the achiever counts included.
-    # The table cases, TSV and JSON, pin the always-empty greedy_min column.
+    # The table cases, TSV and JSON, pin the always-empty greedy_min column;
+    # their formula column was re-recorded when it filled on uneven cells.
     code, out, _ = run_cli(capsys, *case["argv"])
     assert (code, out) == (case["code"], case["stdout"])
 

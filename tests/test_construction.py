@@ -147,19 +147,19 @@ def test_k3_family_is_two_punctured_cubes():
 def test_expected_size_values():
     assert expected_size(ConstructionParams(3, 8)) == 29
     assert expected_size(ConstructionParams(4, 9)) == 34
-    assert expected_size(ConstructionParams(4, 7)) is None
+    # uneven blocks: sizes (3, 2), (3, 2, 2), (3, 3, 2, 2) and (4, 3)
+    assert expected_size(ConstructionParams(3, 5)) == 9
+    assert expected_size(ConstructionParams(4, 7)) == 18
+    assert expected_size(ConstructionParams(5, 10)) == 51
+    assert expected_size(ConstructionParams(3, 7)) == 21
 
 
 def test_size_equals_block_sum_for_every_cell():
-    """Blocks of sizes b_i give sum_i 2^(b_i + k - 3) - (2^(k-1) - 1)(k - 2)
-    members, divisible or not; expected_size is that sum where it is set."""
-    for k in range(3, 9):
-        for n in range(2 * (k - 1), 25):
+    """expected_size, the block sum, counts the family on every cell."""
+    for k in range(3, 16):
+        for n in range(2 * (k - 1), 31):
             p = ConstructionParams(k, n)
-            sizes = [b.bit_count() for b in make_partition(p)]
-            size = sum(1 << (b + k - 3) for b in sizes) - ((1 << (k - 1)) - 1) * (k - 2)
-            assert len(build_family(p).f) == size, (k, n)
-            assert expected_size(p) in (None, size), (k, n)
+            assert expected_size(p) == len(build_family(p).f), (k, n)
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 8), (4, 6), (4, 9), (5, 8), (6, 10)])

@@ -732,7 +732,8 @@ def test_size_table_cells():
     assert by_cell[(2, 4)]["oracle"] == 8
     assert by_cell[(4, 9)]["size"] == 34
     assert by_cell[(4, 9)]["formula"] == 34
-    assert by_cell[(3, 7)]["formula"] is None  # 2 does not divide 7
+    assert by_cell[(3, 7)]["formula"] == 21  # uneven blocks of 4 and 3
+    assert all(r["formula"] == r["size"] for r in rows)
     assert by_cell[(4, 4)]["size"] is None  # below 2(k-1)
     assert by_cell[(2, 6)]["oracle"] is None  # beyond the oracle range
     assert by_cell[(2, 4)]["size"] is None  # no construction for k=2

@@ -8,15 +8,18 @@ from kwise import (
     CoverSearcher,
     Family,
     Universe,
-    build_cover_table,
     complement_family,
-    cover_table_from_indicator,
     elements_of,
     is_downset,
     maximal_elements,
     submasks,
 )
-from kwise.setcore import ALGEBRA_MAX_N, _word_bits
+from kwise.setcore import (
+    ALGEBRA_MAX_N,
+    _word_bits,
+    build_cover_table,
+    cover_table_from_indicator,
+)
 from oracles import (
     closure,
     fold_subsets,
