@@ -30,7 +30,6 @@ _EXPORTS = {
         "search": (
             "OracleResult",
             "cube_blocks",
-            "enumerate_downsets",
             "greedy_saturate",
             "oracle_min_size",
             "size_table",
@@ -42,7 +41,6 @@ _EXPORTS = {
             "Universe",
             "complement_family",
             "elements_of",
-            "is_downset",
             "maximal_elements",
             "submasks",
         ),

@@ -60,7 +60,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_construct.set_defaults(handler=_cmd_construct)
     p_construct.add_argument("--k", type=int, required=True)
     p_construct.add_argument("--n", type=int, required=True)
-    p_construct.add_argument("--out", help="write the family file here instead of stdout")
 
     p_verify = sub.add_parser("verify", help="verify a family file for maximality")
     p_verify.set_defaults(handler=_cmd_verify)
@@ -202,12 +201,7 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
         "size": len(built.f),
         "expected_size": expected_size(p),
     }
-    text = write_family(built.f, header=header)
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(write_family(built.f, header=header))
     return EXIT_OK
 
 

@@ -7,9 +7,9 @@ an exact recogniser of the cube families (cube_blocks, which reads only a
 family's maximal members) and an aggregate size table. Only size_table
 imports construction, so the greedy, the oracle and the recogniser never
 load it.
-The oracle, the greedy and maximal_arity_range read cover numbers from
-the cover-level words of setcore (level t holds the masks that at most t
-members cover, so level 1 is the down-closure), never from the verifier.
+The oracle and the greedy read cover numbers from the cover-level words
+of setcore (level t holds the masks that at most t members cover, so level
+1 is the down-closure), never from the verifier.
 Two cover numbers, read off the levels by _arity_range, give the arities
 at which a family is maximal, so one down-set walk per n, reading each
 down-set off level 1, answers every k. An arity below 2 fails in setcore's
@@ -36,7 +36,6 @@ from .setcore import (
     _cover_levels,
     _grow,
     _low_words,
-    _member_word,
     _record,
     _require_k,
     _reversed_word,
@@ -65,8 +64,13 @@ class OracleResult(NamedTuple):
 
 
 def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float, float]:
-    """(lo, hi) of maximal_arity_range from levels 0..n and gaps, the word
-    of full ^ x over the non-members x; a mask no level holds counts inf."""
+    """(lo, hi): a family g (complement world) is maximal k-wise
+    intersecting for exactly lo <= k < hi, either of which may be inf, given
+    g's cover levels 0..n and gaps, the word of full ^ x over its
+    non-members x. With c(T) the fewest members whose union contains T (inf
+    when no level holds T), g is k-wise iff k < c(full), and a non-member x
+    can be added iff c(full ^ x) >= k, so g is saturated iff k > c(full ^ x)
+    for every non-member x."""
     hi = next((t for t, level in enumerate(levels) if level >> full & 1), inf)
     lo = 1 + next((t for t, level in enumerate(levels) if not gaps & ~level), inf)
     return lo, hi
@@ -74,7 +78,7 @@ def _arity_range(levels: Sequence[int], gaps: int, full: SetMask) -> tuple[float
 
 def _downset_walk(n: int, kmin: int | None = None) -> Iterator[tuple[int, float, float]]:
     """Every down-set over [n] once, as (down-set word, lo, hi) with lo and
-    hi as in maximal_arity_range.
+    hi its arity range, as in _arity_range.
 
     Antichains of tops are extended in lexicographic mask order, and a
     child differs from its parent by one new top m, added to the cover
@@ -126,29 +130,6 @@ def enumerate_downsets(u: Universe) -> Iterator[Family]:
         yield Family(u, _word_bits(d))
 
 
-def maximal_arity_range(g: Family) -> tuple[float, float]:
-    """The arities k for which g (complement world, a down-set or not) is
-    a maximal k-wise intersecting family: exactly lo <= k < hi. Either may
-    be inf.
-
-    Both halves come from c(T), the fewest members of g whose union
-    contains T (inf when none does): g is k-wise intersecting iff k < c(full),
-    and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
-    iff k > c(full ^ x) for every non-member x. The cover levels 0..n (a
-    cover never needs more than n members) grow from the maximal members
-    alone, as in the oracle's down-set walk. The words have 2^n bits, so n
-    must be at most TABLE_MAX_N.
-    """
-    u = g.universe
-    u.require_table()
-    n, size = u.n, u.num_masks
-    levels = _cover_levels(g, n, tuple(_low_words(n)))
-    # the reversed member word sets bit full ^ x for each member x
-    gaps = ~_reversed_word(_member_word(g.members, n), size) & ((1 << size) - 1)
-    lo, hi = _arity_range(levels, gaps, u.full)
-    return float(lo), float(hi)
-
-
 def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
     """Exact minimum for every arity in ks from one pass over the down-sets.
     Each k keeps its first smallest achiever in enumeration order."""
@@ -181,7 +162,7 @@ def _oracle_results(ks: Sequence[int], u: Universe) -> dict[int, OracleResult]:
 def oracle_min_size(k: int, u: Universe) -> OracleResult:
     """Exact minimum size of a maximal k-wise intersecting family over u,
     with its achiever count and first achiever. Every down-set is taken as
-    a complement world and kept when k falls in its maximal_arity_range."""
+    a complement world and kept when k falls in its arity range."""
     return _oracle_results((k,), u)[k]
 
 

@@ -1,22 +1,28 @@
 """Brute-force reference oracles, deliberately independent of the library's
 cover levels and search machinery, the numpy lattice folds that the
-modular-count tests use, and scan_greedy, the one-candidate-at-a-time
-greedy that the level-word greedy replaced. Also the fixtures mask_of,
-make_star and cube_family, closure, the down-closure read off cover
-level 1, and definition_family, the block construction read off the
-definition of its pieces."""
+modular-count tests use, scan_greedy, the one-candidate-at-a-time
+greedy that the level-word greedy replaced, and maximal_arity_range, one
+family's arity range read off its own cover levels, which the oracle's
+down-set walk replaced. Also the fixtures mask_of, make_star and
+cube_family, random_family and the hypothesis strategy families, closure,
+the down-closure read off cover level 1, and definition_family, the block
+construction read off the definition of its pieces."""
 
 import random
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
+from hypothesis import strategies as st
 
+from kwise.search import _arity_range
 from kwise.setcore import (
     Family,
     Universe,
     _cover_levels,
     _grow,
     _low_words,
+    _member_word,
+    _reversed_word,
     _word_bits,
     maximal_elements,
     submasks,
@@ -61,6 +67,21 @@ def definition_family(blocks, n):
     return Family(Universe(n), (m for m in range(1 << n) if construction_pieces(blocks, m)))
 
 
+def random_family(rng, n, max_members=12):
+    """Up to max_members masks over [n] drawn from rng, repeats allowed."""
+    size = 1 << n
+    return Family(Universe(n), (rng.randrange(size) for _ in range(rng.randint(0, max_members))))
+
+
+@st.composite
+def families(draw, max_n=8, max_members=14):
+    """Hypothesis strategy: a family of at most max_members masks over [n],
+    1 <= n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=max_members))
+    return Family(Universe(n), masks)
+
+
 def make_star(u):
     """All 2^(n-1) subsets containing element 1."""
     return Family(u, ((m << 1) | 1 for m in range(1 << (u.n - 1))))
@@ -80,6 +101,27 @@ def closure(f):
     member, less the empty set that level 1 holds when f has no members."""
     level = _cover_levels(f, 1, tuple(_low_words(f.universe.n)))[1]
     return Family(f.universe, _word_bits(level) if f.members else ())
+
+
+def maximal_arity_range(g: Family) -> tuple[float, float]:
+    """The arities k for which g (complement world, a down-set or not) is
+    a maximal k-wise intersecting family: exactly lo <= k < hi. Either may
+    be inf.
+
+    Both halves come from c(T), the fewest members of g whose union
+    contains T (inf when none does): g is k-wise intersecting iff k < c(full),
+    and a non-member x can be added iff c(full ^ x) >= k, so g is saturated
+    iff k > c(full ^ x) for every non-member x. The cover levels 0..n (a
+    cover never needs more than n members) grow from the maximal members
+    alone, as in the oracle's down-set walk.
+    """
+    u = g.universe
+    n, size = u.n, u.num_masks
+    levels = _cover_levels(g, n, tuple(_low_words(n)))
+    # the reversed member word sets bit full ^ x for each member x
+    gaps = ~_reversed_word(_member_word(g.members, n), size) & ((1 << size) - 1)
+    lo, hi = _arity_range(levels, gaps, u.full)
+    return float(lo), float(hi)
 
 
 def naive_min_cover(members, n, j_max):

@@ -10,19 +10,19 @@ from kwise import (
     Universe,
     build_family,
     cube_blocks,
-    enumerate_downsets,
     expected_size,
     greedy_saturate,
     is_maximal_kwise,
     oracle_min_size,
     verify_witness,
 )
-from kwise.search import maximal_arity_range
+from kwise.search import enumerate_downsets
 from kwise.setcore import _cover_levels, _low_words
 from oracles import (
     brute_first_unsaturated,
     brute_kwise_ok,
     closure,
+    maximal_arity_range,
     naive_min_cover,
     superset_min,
 )

@@ -11,11 +11,11 @@ from kwise import (
     construction_tops,
     cube_blocks,
     expected_size,
-    is_downset,
     make_partition,
     maximal_elements,
     submasks,
 )
+from kwise.setcore import is_downset
 from oracles import construction_pieces, definition_family, mask_of
 
 

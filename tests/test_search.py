@@ -11,9 +11,7 @@ from kwise import (
     Universe,
     build_family,
     cube_blocks,
-    enumerate_downsets,
     greedy_saturate,
-    is_downset,
     is_maximal_kwise,
     oracle_min_size,
     size_table,
@@ -25,7 +23,7 @@ from kwise.search import (
     _downset_walk,
     _oracle_results,
     _popcount_layers,
-    maximal_arity_range,
+    enumerate_downsets,
 )
 from kwise.setcore import (
     _cover_levels,
@@ -33,6 +31,7 @@ from kwise.setcore import (
     _low_words,
     _word_bits,
     complement_family,
+    is_downset,
     maximal_elements,
 )
 from oracles import (
@@ -42,13 +41,10 @@ from oracles import (
     completable,
     cube_family,
     lex_antichain_downsets,
+    maximal_arity_range,
+    random_family,
     scan_greedy,
 )
-
-
-def random_family(rng, n, max_members=10):
-    size = 1 << n
-    return Family(Universe(n), (rng.randrange(size) for _ in range(rng.randint(0, max_members))))
 
 
 # --- cover levels ------------------------------------------------------------
@@ -239,12 +235,6 @@ def test_maximal_arity_range_matches_verifier_n5_sample():
         lo, hi = maximal_arity_range(g)
         for k in range(2, 7):
             assert is_maximal_kwise(g, k, "complement").ok == (lo <= k < hi)
-
-
-def test_maximal_arity_range_rejects_large_universe():
-    # its words have 2^n bits, so past the table limit it must refuse at once
-    with pytest.raises(ValueError, match="2\\^n table limit"):
-        maximal_arity_range(Family(Universe(25), [1]))
 
 
 def test_oracle_one_pass_for_many_ks_matches_single_k():

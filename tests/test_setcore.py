@@ -10,7 +10,6 @@ from kwise import (
     Universe,
     complement_family,
     elements_of,
-    is_downset,
     maximal_elements,
     submasks,
 )
@@ -19,9 +18,11 @@ from kwise.setcore import (
     _word_bits,
     build_cover_table,
     cover_table_from_indicator,
+    is_downset,
 )
 from oracles import (
     closure,
+    families,
     fold_subsets,
     fold_supersets,
     make_star,
@@ -30,6 +31,7 @@ from oracles import (
     naive_is_downset,
     naive_maximal_elements,
     naive_min_cover,
+    random_family,
     superset_min,
 )
 
@@ -38,20 +40,8 @@ def fam(u, *sets):
     return Family(u, [mask_of(s, u) for s in sets])
 
 
-def random_family(rng, n, max_members=12):
-    size = 1 << n
-    return Family(Universe(n), (rng.randrange(size) for _ in range(rng.randint(0, max_members))))
-
-
 def random_downset(rng, n, seeds=10):
     return closure(random_family(rng, n, seeds))
-
-
-@st.composite
-def families(draw, max_n=8, max_members=14):
-    n = draw(st.integers(1, max_n))
-    masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=max_members))
-    return Family(Universe(n), masks)
 
 
 @st.composite

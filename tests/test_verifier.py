@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from kwise import (
     ConstructionParams,
@@ -16,35 +16,25 @@ from kwise import (
     check_kwise,
     check_saturated,
     complement_family,
-    is_downset,
     is_maximal_kwise,
     maximal_elements,
     verify_witness,
 )
 from kwise import verifier
-from kwise.search import maximal_arity_range
+from kwise.setcore import is_downset
 from oracles import (
     brute_first_unsaturated,
     brute_kwise_ok,
     closure,
     completable,
+    families,
     fold_subsets,
     fold_supersets,
     make_star,
+    maximal_arity_range,
     moebius_mod,
+    random_family,
 )
-
-
-def random_family(rng, n, max_members=12):
-    size = 1 << n
-    return Family(Universe(n), (rng.randrange(size) for _ in range(rng.randint(0, max_members))))
-
-
-@st.composite
-def families(draw, max_n=8, max_members=14):
-    n = draw(st.integers(1, max_n))
-    masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=max_members))
-    return Family(Universe(n), masks)
 
 
 # --- check_kwise -------------------------------------------------------------
