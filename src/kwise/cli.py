@@ -3,7 +3,9 @@
 Output is deterministic given identical flags and seed. verify emits a
 one-line JSON verdict; the other subcommands emit TSV (or JSON with
 --format json). Exit codes: 0 success or maximal, 2 not k-wise
-intersecting, 3 not saturated, 1 usage or error.
+intersecting, 3 not saturated, 1 usage or error. The parser checks only
+the limits of the command line; each (k, n) rule is the library's, whose
+ValueError main prints as "error: <message>".
 """
 
 from __future__ import annotations
@@ -109,40 +111,16 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_table.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
     ns = parser.parse_args(argv)
-    if ns.command == "construct":
-        if ns.k < 3:
-            parser.error(f"construction requires k >= 3, got {ns.k}")
-        if ns.n < 2 * (ns.k - 1):
-            parser.error(f"construction requires n >= 2(k-1) = {2 * (ns.k - 1)}, got {ns.n}")
-        if ns.n > _CONSTRUCT_MAX_N:
-            parser.error(f"construction output capped at n <= {_CONSTRUCT_MAX_N}")
-    elif ns.command == "verify":
-        if ns.k < 2:
-            parser.error(f"verification requires k >= 2, got {ns.k}")
-    elif ns.command == "oracle":
-        if ns.k < 2:
-            parser.error(f"the oracle requires k >= 2, got {ns.k}")
-        from .search import DOWNSET_MAX_N
-
-        if not 1 <= ns.n <= DOWNSET_MAX_N:
-            parser.error(f"the exhaustive oracle requires 1 <= n <= {DOWNSET_MAX_N}")
-    elif ns.command == "greedy":
-        if ns.k < 2:
-            parser.error(f"greedy saturation requires k >= 2, got {ns.k}")
-        from .search import GREEDY_MAX_N
-
-        if not 1 <= ns.n <= GREEDY_MAX_N:
-            parser.error(f"greedy saturation requires 1 <= n <= {GREEDY_MAX_N}")
-        if ns.runs < 1:
-            parser.error(f"--runs must be >= 1, got {ns.runs}")
+    if ns.command == "construct" and ns.n > _CONSTRUCT_MAX_N:
+        parser.error(f"construction output capped at n <= {_CONSTRUCT_MAX_N}")
+    elif ns.command == "greedy" and ns.runs < 1:
+        parser.error(f"--runs must be >= 1, got {ns.runs}")
     elif ns.command == "table":
         ns.k_range = _parse_range(parser, ns.k)
         ns.n_range = _parse_range(parser, ns.n)
-        if ns.k_range[0] < 2:
-            parser.error("table requires k >= 2")
         from .setcore import TABLE_MAX_N
 
-        if ns.n_range[0] < 1 or ns.n_range[1] > TABLE_MAX_N:
+        if ns.n_range[1] > TABLE_MAX_N:
             parser.error(f"table requires 1 <= n <= {TABLE_MAX_N}")
     return ns
 
@@ -206,8 +184,10 @@ def _cmd_construct(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .setcore import _require_k
     from .verifier import is_maximal_kwise
 
+    _require_k(ns.k)  # before stdin is read
     fam = _read_input_family(ns.input_path)
     v = is_maximal_kwise(fam, ns.k, ns.world)
     payload = {
@@ -248,9 +228,10 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
 def _cmd_greedy(ns: argparse.Namespace) -> int:
     from .familyio import write_family
     from .search import greedy_saturate
-    from .setcore import Family, Universe
+    from .setcore import Family, Universe, _require_k
     from .verifier import is_maximal_kwise
 
+    _require_k(ns.k)  # before stdin is read
     if ns.input_path:
         g0 = _read_input_family(ns.input_path, ns.n)
     else:
@@ -320,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         return ns.handler(ns)
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -265,16 +265,12 @@ def cube_blocks(g: Family) -> tuple[SetMask, ...] | None:
 
 def size_table(ks: Sequence[int], ns: Sequence[int]) -> list[dict]:
     """One row per (k, n): construction size, closed-form size and
-    exhaustive minimum. Infeasible cells stay None; greedy sizes come from
-    `kwise greedy`."""
+    exhaustive minimum. Infeasible cells stay None, and an arity below 2
+    raises; greedy sizes come from `kwise greedy`."""
     from .construction import ConstructionParams, build_family, expected_size
 
-    oracle_ks = [k for k in ks if k >= 2]
-    oracle = {
-        n: _oracle_results(oracle_ks, Universe(n))
-        for n in ns
-        if oracle_ks and n <= DOWNSET_MAX_N
-    }
+    _require_k(min(ks, default=2))
+    oracle = {n: _oracle_results(ks, Universe(n)) for n in ns if n <= DOWNSET_MAX_N}
     rows = []
     for k in ks:
         for n in ns:
@@ -290,7 +286,7 @@ def size_table(ks: Sequence[int], ns: Sequence[int]) -> list[dict]:
                 p = ConstructionParams(k, n)
                 row["size"] = len(build_family(p).f)
                 row["formula"] = expected_size(p)
-            if k >= 2 and n in oracle:
+            if n in oracle:
                 row["oracle"] = oracle[n][k].f_k_n
             rows.append(row)
     return rows

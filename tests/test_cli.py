@@ -56,18 +56,21 @@ def test_parse_table_ranges():
     assert cfg2.k_range == (3, 3) and cfg2.n_range == (6, 6)
 
 
-# argv and the last stderr line it gives; new cases go at the end so the
-# argvN test ids stay put
+# argv and the last stderr line it gives; new cases go at the end, or in the
+# place of a case that moved out, so the argvN test ids stay put
 USAGE_ERRORS = [
-    (["construct", "--k", "2", "--n", "8"], "kwise: error: construction requires k >= 3, got 2"),
-    (["construct", "--k", "4", "--n", "5"],
-     "kwise: error: construction requires n >= 2(k-1) = 6, got 5"),
+    # argv0, argv5 and argv15: a CLI limit is read before the library's (k, n) rules
+    (["construct", "--k", "2", "--n", "31"],
+     "kwise: error: construction output capped at n <= 30"),
+    (["construct", "--k", "4", "--n", "x"],
+     "kwise construct: error: argument --n: invalid int value: 'x'"),
     (["construct", "--k", "3"],
      "kwise construct: error: the following arguments are required: --n"),
-    (["verify", "--k", "1"], "kwise: error: verification requires k >= 2, got 1"),
-    (["oracle", "--k", "2", "--n", "6"],
-     "kwise: error: the exhaustive oracle requires 1 <= n <= 5"),
-    (["greedy", "--k", "3", "--n", "30"], "kwise: error: greedy saturation requires 1 <= n <= 20"),
+    (["verify"], "kwise verify: error: the following arguments are required: --k"),
+    (["table", "--k", "3", "--n", "4..x"],
+     "kwise: error: bad range '4..x', expected INT or LO..HI"),
+    (["greedy", "--k", "1", "--n", "30", "--runs", "0"],
+     "kwise: error: --runs must be >= 1, got 0"),
     (["table", "--k", "5..3", "--n", "4"], "kwise: error: empty range '5..3'"),
     (["table", "--k", "x", "--n", "4"], "kwise: error: bad range 'x', expected INT or LO..HI"),
     (["cube", "--minimize"], "kwise: error: unrecognized arguments: --minimize"),
@@ -78,7 +81,7 @@ USAGE_ERRORS = [
     (["construct", "--k", "3", "--n", "31"], "kwise: error: construction output capped at n <= 30"),
     (["greedy", "--k", "3", "--n", "8", "--runs", "0"], "kwise: error: --runs must be >= 1, got 0"),
     (["table", "--k", "2", "--n", "25"], "kwise: error: table requires 1 <= n <= 24"),
-    (["table", "--k", "1", "--n", "3"], "kwise: error: table requires k >= 2"),
+    (["table", "--k", "1", "--n", "3..25"], "kwise: error: table requires 1 <= n <= 24"),
     (["cube", "--format", "xml"], "kwise cube: error: argument --format: invalid choice: 'xml'"),
     (["cube", "a.txt", "b.txt"], "kwise: error: unrecognized arguments: b.txt"),
     # greedy runs are `kwise greedy`'s alone
@@ -106,6 +109,48 @@ def test_usage_errors_exit_1(argv, last_line, capsys):
         assert last.startswith(last_line + " "), last
     else:
         assert last == last_line
+
+
+# argv and the last stderr line it gives: each (k, n) rule is checked by the
+# library, whose ValueError main prints after "error: ", with no usage line
+HANDLER_ERRORS = {
+    "construct-k2": (["construct", "--k", "2", "--n", "8"],
+                     "error: construction requires k >= 3, got k=2"),
+    "construct-k4-n5": (["construct", "--k", "4", "--n", "5"],
+                        "error: construction requires n >= 2(k-1) = 6, got n=5"),
+    "verify-k1": (["verify", "--k", "1"], "error: arity k must be >= 2, got 1"),
+    "oracle-k1": (["oracle", "--k", "1", "--n", "3"], "error: arity k must be >= 2, got 1"),
+    "oracle-n6": (["oracle", "--k", "2", "--n", "6"],
+                  "error: exhaustive oracle needs n <= 5, got n=6"),
+    "greedy-k1": (["greedy", "--k", "1", "--n", "3"], "error: arity k must be >= 2, got 1"),
+    "greedy-n30": (["greedy", "--k", "3", "--n", "30"],
+                   "error: greedy saturation needs n <= 20, got n=30"),
+    "table-k1": (["table", "--k", "1", "--n", "3"], "error: arity k must be >= 2, got 1"),
+    "table-n0": (["table", "--k", "2", "--n", "0..3"],
+                 "error: universe size must be in 1..62, got 0"),
+}
+
+
+@pytest.mark.parametrize(("argv", "last_line"), HANDLER_ERRORS.values(), ids=HANDLER_ERRORS)
+def test_handler_errors_exit_1(argv, last_line, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (1, "", last_line)
+    assert "usage:" not in err
+
+
+class _UnreadStdin:
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--k", "1"], ["greedy", "--k", "1", "--n", "3", "--in", "-"]],
+    ids=["verify", "greedy"],
+)
+def test_arity_error_before_stdin(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _UnreadStdin())
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: arity k must be >= 2, got 1\n")
 
 
 SUBCOMMANDS = ("construct", "verify", "oracle", "greedy", "cube", "table")

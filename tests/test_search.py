@@ -728,3 +728,9 @@ def test_size_table_cells():
     assert by_cell[(2, 6)]["oracle"] is None  # beyond the oracle range
     assert by_cell[(2, 4)]["size"] is None  # no construction for k=2
     assert all(r["greedy_min"] is None for r in rows)  # greedy sizes are `kwise greedy`'s
+
+
+def test_size_table_rejects_arity_below_2():
+    # the arity rule holds even where no cell reaches the oracle
+    with pytest.raises(ValueError, match=r"arity k must be >= 2, got 1"):
+        size_table([1, 3], [4])

@@ -381,6 +381,14 @@ def test_verify_witness_cover_direct_arithmetic():
     assert not verify_witness(short, g, 2)
 
 
+@pytest.mark.parametrize("masks", [(), (0b0011, 0b0110, 0b1100)], ids=["empty", "k+1"])
+def test_verify_witness_cover_size_out_of_range(masks):
+    # a cover at k has 1..k members: none, or k + 1 members whose union is
+    # the full set, is no cover at k
+    g = Family(Universe(4), [0b0011, 0b0110, 0b1100])
+    assert not verify_witness(Verdict(False, CoverWitness(masks), "not_kwise"), g, 2)
+
+
 def test_verify_witness_gap_member_fails():
     u = Universe(4)
     g = Family(u, [0b0011, 0b1100])
